@@ -13,7 +13,7 @@ power components; `sign="post_minus_pre"` flips it for experiments.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,9 +49,12 @@ def detect_event(
 ) -> SwitchEvent | None:
     """Emit an event iff |p_curr - p_prev| strictly exceeds the threshold.
 
-    The boundary case |delta| == threshold does not trigger."""
+    The boundary case |delta| == threshold does not trigger; non-finite
+    power raises ValueError rather than passing as an "off" step."""
     if threshold_w <= 0:
         raise ValueError("threshold must be positive")
+    if not (math.isfinite(p_prev) and math.isfinite(p_curr)):
+        raise ValueError(f"non-finite power at window {window_index}: {p_prev!r} -> {p_curr!r}")
     delta = p_curr - p_prev
     if abs(delta) <= threshold_w:
         return None
@@ -63,34 +66,40 @@ def detect_event(
 
 
 class DeltaBuffer:
-    """Ring of the most recent 41 feature vectors, keyed by window index.
+    """Ring of the most recent 41 feature vectors, slot = window index % 41.
 
     Single-writer, single-reader; one instance per stream."""
 
     CAPACITY = 2 * DELTA_HALF_SPAN + 1  # 41 windows = 4.1 s
 
     def __init__(self):
-        self._ring: deque[tuple[int, np.ndarray]] = deque(maxlen=self.CAPACITY)
+        self._slots: list[tuple[int, np.ndarray] | None] = [None] * self.CAPACITY
+        self._count = 0
+        self.latest_index: int | None = None
 
     def push(self, window_index: int, values: np.ndarray) -> None:
-        if self._ring and window_index != self._ring[-1][0] + 1:
+        if self.latest_index is not None and window_index != self.latest_index + 1:
             raise ValueError(
-                f"window indices must be consecutive: got {window_index} after {self._ring[-1][0]}"
+                f"window indices must be consecutive: got {window_index} after {self.latest_index}"
             )
-        self._ring.append((window_index, np.asarray(values, dtype=np.float64)))
+        self._slots[window_index % self.CAPACITY] = (window_index, np.asarray(values, dtype=np.float64))
+        self._count = min(self._count + 1, self.CAPACITY)
+        self.latest_index = window_index
 
     def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def latest_index(self) -> int | None:
-        return self._ring[-1][0] if self._ring else None
+        return self._count
 
     def get(self, window_index: int) -> np.ndarray:
-        for idx, values in self._ring:
-            if idx == window_index:
-                return values
-        raise WindowNotReady(f"window {window_index} is not buffered")
+        slot = self._slots[window_index % self.CAPACITY]
+        if slot is None or slot[0] != window_index:
+            raise WindowNotReady(f"window {window_index} is not buffered")
+        return slot[1]
+
+
+def check_sign(sign: str) -> None:
+    """Reject a differential-vector orientation other than the two defined."""
+    if sign not in ("pre_minus_post", "post_minus_pre"):
+        raise ValueError(f"unknown sign convention {sign!r}")
 
 
 def delta_feature(buffer: DeltaBuffer, event_index: int, sign: str = "pre_minus_post") -> np.ndarray:
@@ -99,18 +108,16 @@ def delta_feature(buffer: DeltaBuffer, event_index: int, sign: str = "pre_minus_
     Requires windows j-20, j-10, j-1, j+1, j+10, j+20 in the buffer; raises
     WindowNotReady otherwise (retry once 20 more windows have streamed in).
     """
-    if sign not in ("pre_minus_post", "post_minus_pre"):
-        raise ValueError(f"unknown sign convention {sign!r}")
     pre = [buffer.get(event_index + off) for off in DELTA_OFFSETS_PRE]
     post = [buffer.get(event_index + off) for off in DELTA_OFFSETS_POST]
-    delta = (pre[0] + pre[1] + pre[2]) / 3.0 - (post[0] + post[1] + post[2]) / 3.0
-    return -delta if sign == "post_minus_pre" else delta
+    return delta_feature_from_windows(pre, post, sign=sign)
 
 
 def delta_feature_from_windows(
     pre: Sequence[np.ndarray], post: Sequence[np.ndarray], sign: str = "pre_minus_post"
 ) -> np.ndarray:
-    """Same arithmetic as delta_feature, on explicit window triples."""
+    """The differential vector on explicit window triples: mean(pre) - mean(post)."""
+    check_sign(sign)
     if len(pre) != 3 or len(post) != 3:
         raise ValueError("the differential vector averages exactly three windows per side")
     a = (np.asarray(pre[0], float) + pre[1] + pre[2]) / 3.0

@@ -1,28 +1,35 @@
 """End-to-end plumbing: turning scenario streams into labeled datasets and
 running the online window -> features -> event -> classify loop.
 
-The online classifier processes windows strictly in order. Single-appliance
-mode labels the window where the power threshold crossing is observed.
-Multi-appliance mode holds each event until 20 more windows have streamed
-in, applies the event guard, computes the differential vector, and only
-then predicts; events still unresolved at end of stream flush as pending.
+One in-order event core serves both the offline differential-vector
+dataset and the online classifier. Per window it extracts the feature
+vector, steps the real-power track through threshold detection, and keeps
+the last 41 vectors in a ring. An event detected at window j resolves at
+window j+20: the +-20-window guard decides it and, if it is valid, the
+differential vector is taken from the ring. Events still open at end of
+stream come out unresolved. Single-appliance mode labels the window where
+the power threshold crossing is observed; multi-appliance mode labels
+resolved events and reports the rest as invalid or pending.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .events import (
     DEFAULT_THRESHOLD_W,
     DELTA_HALF_SPAN,
-    DELTA_OFFSETS_POST,
-    DELTA_OFFSETS_PRE,
+    GUARD_RADIUS,
     DeltaBuffer,
     SwitchEvent,
+    WindowNotReady,
+    check_sign,
     delta_feature,
-    delta_feature_from_windows,
+    delta_feature_from_windows,  # noqa: F401 - perfbench/spans.py wraps it at this name
     detect_event,
     event_guard,
 )
@@ -31,6 +38,50 @@ from .models.base import BaseModel, classify
 from .signals import SampleStream, window_stream
 from .synth import LabelTrack
 from .train.dataset import Dataset
+
+
+def _event_core(
+    stream: SampleStream, layout: FeatureLayout, threshold_w: float, sign: str
+) -> Iterator[tuple[np.ndarray | None, SwitchEvent | None, list[tuple]]]:
+    """Yield (features, event detected here or None, events resolved here)
+    per window, then (None, None, events left open) once the stream ends.
+
+    A resolved event is (event, valid, delta): delta is None when the guard
+    rejects the event or the ring never held window j-20. Open events come
+    out valid with delta None. The guard and the delta both need every
+    window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN."""
+    check_sign(sign)
+    buffer = DeltaBuffer()
+    recent: deque[SwitchEvent] = deque()  # events the guard may still need
+    open_events: deque[SwitchEvent] = deque()
+    prev_p: float | None = None
+    for w in window_stream(stream):
+        values = extract_features(w, layout).values
+        buffer.push(w.index, values)
+        # detection always runs on real power, even for layouts without it
+        p = float(values[0]) if layout.time_domain else real_power(w)
+        ev = None if prev_p is None else detect_event(prev_p, p, threshold_w, window_index=w.index)
+        prev_p = p
+        if ev is not None:
+            recent.append(ev)
+            open_events.append(ev)
+        resolved = []
+        j = w.index - DELTA_HALF_SPAN
+        if open_events and open_events[0].window_index == j:
+            due = open_events.popleft()
+            while recent[0].window_index < j - GUARD_RADIUS:
+                recent.popleft()
+            near = list(recent)
+            valid = event_guard(near)[near.index(due)]
+            delta = None
+            if valid:
+                try:
+                    delta = delta_feature(buffer, j, sign=sign)
+                except WindowNotReady:
+                    pass
+            resolved.append((due, valid, delta))
+        yield values, ev, resolved
+    yield None, None, [(e, True, None) for e in open_events]
 
 
 def window_dataset(
@@ -56,13 +107,8 @@ def window_dataset(
         (app,) = on
         rows.append(extract_features(w, layout).values)
         labels.append(index_of[app])
-    return Dataset(
-        x=np.vstack(rows),
-        y=np.array(labels, dtype=np.int64),
-        class_names=class_names,
-        layout=layout,
-        provenance=provenance,
-    )
+    return _dataset(rows, labels, class_names, layout, provenance,
+                    "steady single-appliance windows")
 
 
 def delta_dataset(
@@ -82,39 +128,19 @@ def delta_dataset(
         class_names = tuple(seen)
     index_of = {name: k for k, name in enumerate(class_names)}
 
-    feats, p_track = [], []
-    for w in window_stream(stream):
-        fv = extract_features(w, layout)
-        feats.append(fv.values)
-        # detection always runs on real power, even for layouts without it
-        if layout.time_domain:
-            p_track.append(fv.values[0])
-        else:
-            p_track.append(real_power(w))
-
-    events: list[SwitchEvent] = []
-    for j in range(1, len(feats)):
-        ev = detect_event(p_track[j - 1], p_track[j], threshold_w, window_index=j)
-        if ev is not None:
-            events.append(ev)
-    valid = event_guard(events)
-
     rows, labels = [], []
-    for ev, ok in zip(events, valid):
-        if not ok:
-            continue
-        j = ev.window_index
-        if j - DELTA_HALF_SPAN < 0 or j + DELTA_HALF_SPAN >= len(feats):
-            continue
-        label = _matching_toggle(track, j)
-        if label is None:
-            continue
-        pre = [feats[j + off] for off in DELTA_OFFSETS_PRE]
-        post = [feats[j + off] for off in DELTA_OFFSETS_POST]
-        rows.append(delta_feature_from_windows(pre, post, sign=sign))
-        labels.append(index_of[label])
+    for _, _, resolved in _event_core(stream, layout, threshold_w, sign):
+        for ev, _, delta in resolved:
+            label = None if delta is None else _matching_toggle(track, ev.window_index)
+            if label is not None:
+                rows.append(delta)
+                labels.append(index_of[label])
+    return _dataset(rows, labels, class_names, layout, provenance, "valid labeled events")
+
+
+def _dataset(rows, labels, class_names, layout, provenance, what: str) -> Dataset:
     if not rows:
-        raise ValueError("no valid labeled events found in the scenario")
+        raise ValueError(f"no {what} found in the scenario")
     return Dataset(
         x=np.vstack(rows),
         y=np.array(labels, dtype=np.int64),
@@ -153,60 +179,19 @@ def classify_stream(
     """Run the full online pipeline over a stream with the given model."""
     if mode not in ("single", "multi"):
         raise ValueError(f"mode must be 'single' or 'multi', got {mode!r}")
-    layout = model.layout
-
-    buffer = DeltaBuffer()
-    events: list[SwitchEvent] = []
-    open_events: list[SwitchEvent] = []
     out: list[StreamLabel] = []
-    prev_p: float | None = None
-
-    def p_of(values: np.ndarray, w) -> float:
-        # detection always runs on real power, even for layouts without it
-        if layout.time_domain:
-            return float(values[0])
-        return real_power(w)
-
-    def flush(ev: SwitchEvent) -> StreamLabel:
-        others = [e for e in events if e.window_index != ev.window_index]
-        clash = any(abs(ev.window_index - o.window_index) <= DELTA_HALF_SPAN for o in others)
-        if clash:
-            return StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
-                               valid=False, status="invalid", label=None)
-        try:
-            delta = delta_feature(buffer, ev.window_index, sign=sign)
-        except LookupError:
-            return StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
-                               valid=True, status="pending", label=None)
-        cls = classify(model, delta)
-        return StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
-                           valid=True, status="labeled", label=model.class_names[cls])
-
-    for w in window_stream(stream):
-        fv = extract_features(w, layout)
-        buffer.push(w.index, fv.values)
-        p = p_of(fv.values, w)
-        if prev_p is not None:
-            ev = detect_event(prev_p, p, threshold_w, window_index=w.index)
-            if ev is not None:
-                events.append(ev)
-                if mode == "single":
-                    cls = classify(model, fv.values)
-                    out.append(StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
-                                           valid=True, status="labeled",
-                                           label=model.class_names[cls]))
-                else:
-                    open_events.append(ev)
-        prev_p = p
-        if mode == "multi":
-            ready = [e for e in open_events if w.index >= e.window_index + DELTA_HALF_SPAN]
-            for ev in ready:
-                out.append(flush(ev))
-                open_events.remove(ev)
-
-    for ev in open_events:  # end of stream: unresolved lookahead
-        out.append(StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
-                               valid=True, status="pending", label=None))
+    for values, ev, resolved in _event_core(stream, model.layout, threshold_w, sign):
+        if mode == "single":  # label each event at once from its own window
+            resolved = [] if ev is None else [(ev, True, values)]
+        for ev, valid, x in resolved:
+            if not valid:
+                status, label = "invalid", None
+            elif x is None:  # lookahead or look-back never filled
+                status, label = "pending", None
+            else:
+                status, label = "labeled", model.class_names[classify(model, x)]
+            out.append(StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
+                                   valid=valid, status=status, label=label))
     return out
 
 

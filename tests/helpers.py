@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 
-from nilmedge.features import DEFAULT_LAYOUT, FeatureLayout
+from nilmedge.events import detect_event, event_guard
+from nilmedge.features import DEFAULT_LAYOUT, FeatureLayout, extract_features
 from nilmedge.models.forest import RfModel, TreeNodes
 from nilmedge.models.knn import KnnModel
 from nilmedge.models.mlp import MlpModel
 from nilmedge.models.svm import SvmModel, pair_order
+from nilmedge.signals import window_stream
 from nilmedge.train.dataset import Dataset
 
 
@@ -214,3 +216,25 @@ def apparent_power_oracle(v, i) -> float:
     sv = sum(float(x) * float(x) for x in v) / len(v)
     si = sum(float(x) * float(x) for x in i) / len(i)
     return math.sqrt(sv) * math.sqrt(si)
+
+
+# --- whole-stream differential-vector oracle ---------------------------------------
+
+def delta_oracle(stream, layout=DEFAULT_LAYOUT) -> dict[int, tuple[bool, np.ndarray | None]]:
+    """(guard verdict, differential vector or None) of every event whose
+    window j+20 exists, keyed by event window, from the whole stream held in
+    memory. The vector is None for rejected events and for j < 20."""
+    feats = np.array([extract_features(w, layout).values for w in window_stream(stream)])
+    p = feats[:, 0]
+    events = [ev for j in range(1, len(p)) if (ev := detect_event(p[j - 1], p[j], window_index=j))]
+    out = {}
+    for ev, ok in zip(events, event_guard(events)):
+        j = ev.window_index
+        if j + 20 >= len(feats):
+            continue
+        delta = None
+        if ok and j >= 20:
+            delta = (feats[j - 20] + feats[j - 10] + feats[j - 1]) / 3.0 \
+                - (feats[j + 1] + feats[j + 10] + feats[j + 20]) / 3.0
+        out[j] = (ok, delta)
+    return out

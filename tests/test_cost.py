@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,10 @@ class TestReportsAndProfiles:
         path.write_text(profile_to_json(PROFILE))
         assert load_profile(path) == PROFILE
         assert load_profile("cortex-m4-paper") is PROFILE
+
+    def test_shipped_profile_file_matches_builtin(self):
+        path = Path(__file__).parents[1] / "profiles" / "cortex-m4-paper.json"
+        assert path.read_text(encoding="utf-8") == profile_to_json(PROFILE)
 
     def test_table_consistency_checker(self):
         # 62 + 28 + 15 = 105: editing a row out of balance must be flagged

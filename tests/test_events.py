@@ -34,6 +34,11 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect_event(0.0, 10.0, threshold_w=0.0)
 
+    @pytest.mark.parametrize("p_prev,p_curr", [(100.0, np.nan), (np.nan, 100.0), (100.0, np.inf)])
+    def test_non_finite_power_rejected(self, p_prev, p_curr):
+        with pytest.raises(ValueError, match="non-finite"):
+            detect_event(p_prev, p_curr, window_index=7)
+
 
 def filled_buffer(vectors_by_index):
     buf = DeltaBuffer()
@@ -76,6 +81,10 @@ class TestDeltaFeature:
             -delta_feature_from_windows(pre, post),
         )
 
+    def test_unknown_sign_rejected(self):
+        with pytest.raises(ValueError, match="sign"):
+            delta_feature_from_windows([np.zeros(2)] * 3, [np.ones(2)] * 3, sign="bogus")
+
     def test_not_ready_raises(self):
         buf = filled_buffer({j: np.zeros(2) for j in range(0, 30)})
         with pytest.raises(WindowNotReady):
@@ -87,6 +96,13 @@ class TestDeltaFeature:
         assert buf.latest_index == 59
         with pytest.raises(WindowNotReady):
             buf.get(18)  # evicted
+
+    def test_buffer_rejects_unpushed_and_wrapped_indices(self):
+        buf = filled_buffer({j: np.array([float(j)]) for j in range(5, 50)})
+        assert buf.get(49)[0] == 49.0 and buf.get(9)[0] == 9.0
+        for j in (8, 50, 9 - 41, 49 + 41):  # evicted, not yet pushed, same ring slot
+            with pytest.raises(WindowNotReady):
+                buf.get(j)
 
     def test_non_consecutive_push_rejected(self):
         buf = DeltaBuffer()

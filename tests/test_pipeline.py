@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from helpers import delta_oracle
 from nilmedge.features import FREQUENCY_ONLY_LAYOUT
 from nilmedge.pipeline import (
+    _event_core,
+    _matching_toggle,
     classify_stream,
     delta_dataset,
     window_dataset,
     write_stream_labels_csv,
 )
+from nilmedge.scenarios import MULTI5_REGISTRY, overlapping_script
 from nilmedge.synth import ApplianceModel, Mains, ScenarioEvent, ScenarioScript, synth_scenario
 from nilmedge.train import train_knn, train_rf
 
@@ -48,6 +54,12 @@ class TestWindowDataset:
                           if len(on) == 1 and j not in toggle_windows]
         assert d.n == len(single_windows)
 
+    def test_stream_without_qualifying_windows_rejected(self):
+        script = ScenarioScript(mains=MAINS, events=(), duration_s=3.0, noise_rms_a=0.02)
+        steady, track = synth_scenario(script, TWO_APPS, seed=3)
+        with pytest.raises(ValueError, match="no steady"):
+            window_dataset(steady, track, class_names=("fan", "heater"))
+
 
 class TestDeltaDataset:
     def test_rows_labeled_by_toggled_appliance(self):
@@ -79,6 +91,42 @@ class TestDeltaDataset:
         stream, track = synth_scenario(script, TWO_APPS, seed=0)
         d = delta_dataset(stream, track, class_names=("fan", "heater"))
         assert d.n == 4  # the first two events invalidate each other
+
+    def test_unknown_sign_rejected(self):
+        stream, track = synth_scenario(two_app_script(), TWO_APPS, seed=1)
+        with pytest.raises(ValueError, match="sign"):
+            delta_dataset(stream, track, class_names=("fan", "heater"), sign="bogus")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_equal_online_deltas_on_multi5(self, seed):
+        names = tuple(sorted(MULTI5_REGISTRY))
+        base = overlapping_script(MULTI5_REGISTRY, seed=seed, rounds=3, gap_s=3.0)
+        # pull some events closer: 2.0 s (20 windows) clashes, 2.1 s does not
+        pull = {3: 1.0, 6: 0.9}
+        events = tuple(replace(e, time_s=round(e.time_s - pull.get(k % 8, 0.0), 1))
+                       for k, e in enumerate(base.events))
+        stream, track = synth_scenario(replace(base, events=events), MULTI5_REGISTRY, seed=seed)
+        d = delta_dataset(stream, track, class_names=names)
+
+        online = {ev.window_index: (valid, delta)
+                  for values, _, resolved in _event_core(stream, d.layout, 5.0, "pre_minus_post")
+                  if values is not None
+                  for ev, valid, delta in resolved}
+        oracle = delta_oracle(stream)
+        assert online.keys() == oracle.keys()
+        verdicts = [online[j][0] for j in sorted(online)]
+        assert True in verdicts and False in verdicts
+        for j, (valid, delta) in online.items():
+            assert valid == oracle[j][0]
+            assert (delta is None) == (oracle[j][1] is None)
+            if delta is not None:
+                assert np.array_equal(delta, oracle[j][1])
+
+        matched = [online[j][1] for j in sorted(online)
+                   if online[j][1] is not None and _matching_toggle(track, j)]
+        assert len(matched) == d.n > 0
+        for row, delta in zip(d.x, matched):
+            assert np.array_equal(row, delta)
 
 
 class TestClassifyStream:
@@ -183,3 +231,30 @@ class TestClassifyStream:
         model = train_knn(d, k=3)
         with pytest.raises(ValueError):
             classify_stream(stream, model, mode="both")
+
+    def test_unknown_sign_rejected_before_any_event(self, single7_run):
+        stream, track, _ = single7_run
+        model = train_knn(window_dataset(stream, track), k=3)
+        script = ScenarioScript(mains=MAINS, events=(), duration_s=3.0, noise_rms_a=0.02)
+        steady, _ = synth_scenario(script, TWO_APPS, seed=3)
+        for mode in ("single", "multi"):
+            with pytest.raises(ValueError, match="sign"):
+                classify_stream(steady, model, mode=mode, sign="bogus")
+
+    def test_event_before_window_20_pending_online_skipped_offline(self):
+        events = (
+            ScenarioEvent(1.0, "heater", "on"),  # window 10: no look-back
+            ScenarioEvent(6.0, "fan", "on"),
+            ScenarioEvent(11.0, "heater", "off"),
+            ScenarioEvent(16.0, "heater", "on"),
+            ScenarioEvent(21.0, "fan", "off"),
+        )
+        script = ScenarioScript(mains=MAINS, events=events, duration_s=25.0,
+                                noise_rms_a=0.02)
+        stream, track = synth_scenario(script, TWO_APPS, seed=8)
+        d = delta_dataset(stream, track, class_names=("fan", "heater"))
+        assert d.n == 4
+        model = train_knn(d, k=1)
+        by_window = {s.window_index: s for s in classify_stream(stream, model, mode="multi")}
+        assert by_window[10].status == "pending" and by_window[10].valid
+        assert [s.status for s in by_window.values()].count("labeled") == 4
