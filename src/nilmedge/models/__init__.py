@@ -1,7 +1,7 @@
 """Classifier inference engines with a uniform predict/serialize contract."""
 
 from .base import BaseModel, Scaler, ZeroVarianceError, classify, classify_matrix
-from .forest import RfModel, TreeIntegrityError, TreeNodes, predict_rf
+from .forest import RfModel, TreeIntegrityError, TreeNodes
 from .io import (
     ModelFormatError,
     ModelIntegrityError,
@@ -15,9 +15,9 @@ from .io import (
     serialize,
     to_json,
 )
-from .knn import KnnModel, predict_knn
-from .mlp import MlpModel, predict_mlp
-from .svm import SvmModel, kernel_matrix, pair_order, predict_svm
+from .knn import KnnModel
+from .mlp import MlpModel
+from .svm import SvmModel, kernel_matrix, pair_order
 
 __all__ = [
     "BaseModel",
@@ -26,17 +26,13 @@ __all__ = [
     "classify",
     "classify_matrix",
     "KnnModel",
-    "predict_knn",
     "SvmModel",
-    "predict_svm",
     "kernel_matrix",
     "pair_order",
     "MlpModel",
-    "predict_mlp",
     "RfModel",
     "TreeNodes",
     "TreeIntegrityError",
-    "predict_rf",
     "serialize",
     "deserialize",
     "save_model",

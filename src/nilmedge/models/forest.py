@@ -1,15 +1,22 @@
-"""Random-forest inference over flat node tables.
+"""Random-forest inference over one node table for the whole forest.
 
 Each tree is four parallel arrays indexed by node id: the split feature
 (-1 marks a leaf), the threshold, and the left/right child ids, which always
 point forward (child id > node id). Routing follows `x[feature] <= threshold`
 to the left child. The forest takes a majority vote with the lowest class id
 winning ties.
+
+For inference the trees are concatenated once into a `NodeTable`: child ids
+are offset by each tree's start, the roots are those offsets, and every leaf
+points to itself on both sides. All (row, tree) pairs then step together a
+fixed number of times, the deepest tree's depth; a pair that reached its
+leaf early stays there. This is the "perfect tree traversal" of Hummingbird
+(Nakandala et al., OSDI 2020).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,25 +75,72 @@ class TreeNodes:
         return worst
 
     def route_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Leaf class for each row of x, routing all rows in lockstep."""
-        pos = np.zeros(x.shape[0], dtype=np.int64)
-        active = self.feature[pos] != LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            nodes = pos[idx]
-            feats = self.feature[nodes]
-            go_left = x[idx, feats] <= self.threshold[nodes]
-            nxt = np.where(go_left, self.left[nodes], self.right[nodes])
-            if np.any((nxt < 0) | (nxt >= self.n_nodes)):
-                raise TreeIntegrityError("routing escaped the node table")
-            pos[idx] = nxt
-            active[idx] = self.feature[nxt] != LEAF
+        """Leaf class for each row of x: the one-tree case of `NodeTable`."""
+        return NodeTable.concat((self,)).leaf_classes(x)[:, 0]
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """The trees of a forest in one set of node arrays with self-looping leaves."""
+
+    feature: np.ndarray  # (n_nodes,) intp, 0 for leaves
+    threshold: np.ndarray  # (n_nodes,) float
+    left: np.ndarray  # (n_nodes,) intp global child ids; a leaf's own id
+    right: np.ndarray
+    leaf_class: np.ndarray  # (n_nodes,) intp, LEAF for internal nodes
+    roots: np.ndarray  # (n_trees,) intp, each tree's first node
+    steps: int  # the largest worst-case depth of any tree
+    width: int  # columns an input row needs: 1 + the largest split feature
+
+    @classmethod
+    def concat(cls, trees) -> "NodeTable":
+        sizes = np.array([t.n_nodes for t in trees], dtype=np.intp)
+        roots = np.cumsum(sizes) - sizes
+        start = np.repeat(roots, sizes)  # each node's tree start
+        end = start + np.repeat(sizes, sizes)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        left = np.concatenate([t.left for t in trees]).astype(np.intp) + start
+        right = np.concatenate([t.right for t in trees]).astype(np.intp) + start
+        internal = feature != LEAF
+        if np.any(feature[internal] < 0):
+            raise TreeIntegrityError("split feature index out of range")
+        for child in (left[internal], right[internal]):
+            if np.any((child < start[internal]) | (child >= end[internal])):
+                raise TreeIntegrityError("a child id leaves its own tree's node range")
+        width = int(feature[internal].max(initial=-1)) + 1
+        leaf = np.flatnonzero(~internal)
+        feature[leaf] = 0
+        left[leaf] = leaf
+        right[leaf] = leaf
+        return cls(
+            feature=feature,
+            threshold=np.concatenate([t.threshold for t in trees]),
+            left=left,
+            right=right,
+            leaf_class=np.concatenate([t.leaf_class for t in trees]).astype(np.intp),
+            roots=roots,
+            steps=max(t.worst_case_depth() for t in trees),
+            width=width,
+        )
+
+    def leaf_classes(self, x: np.ndarray) -> np.ndarray:
+        """(rows, trees) leaf class reached by every (row, tree) pair of x."""
+        x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+        if x.shape[1] < self.width:
+            raise ValueError(f"expected at least {self.width} features, got {x.shape[1]}")
+        flat = x.ravel()
+        row_start = (np.arange(x.shape[0]) * x.shape[1])[:, None]
+        pos = np.broadcast_to(self.roots, (x.shape[0], self.roots.size))
+        for _ in range(self.steps):
+            go_left = flat[row_start + self.feature[pos]] <= self.threshold[pos]
+            pos = np.where(go_left, self.left[pos], self.right[pos])
         return self.leaf_class[pos]
 
 
 @dataclass(frozen=True)
 class RfModel(BaseModel):
     trees: tuple[TreeNodes, ...] = ()
+    table: NodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
@@ -94,6 +148,7 @@ class RfModel(BaseModel):
             raise ValueError("a forest needs at least one tree")
         for tree in self.trees:
             tree.validate(self.n_features, self.n_classes)
+        object.__setattr__(self, "table", NodeTable.concat(self.trees))
 
     @property
     def n_trees(self) -> int:
@@ -111,13 +166,7 @@ class RfModel(BaseModel):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {x.shape[1]}")
-        votes = np.zeros((x.shape[0], self.n_classes), dtype=np.int64)
-        for tree in self.trees:
-            leaf = tree.route_matrix(x)
-            votes[np.arange(x.shape[0]), leaf] += 1
-        return np.argmax(votes, axis=1).astype(np.int64)  # first max = lowest id
-
-
-def predict_rf(model: RfModel, x: np.ndarray) -> int:
-    """Class id for one (unscaled) feature vector; trees are scale-free."""
-    return int(model.predict_matrix(np.asarray(x)[None, :])[0])
+        leaf = self.table.leaf_classes(x)
+        n, c = x.shape[0], self.n_classes
+        votes = np.bincount((np.arange(n)[:, None] * c + leaf).ravel(), minlength=n * c)
+        return np.argmax(votes.reshape(n, c), axis=1).astype(np.int64)  # first max = lowest id

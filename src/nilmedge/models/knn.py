@@ -52,8 +52,3 @@ class KnnModel(BaseModel):
                 best = best[np.flatnonzero(sums == sums.min())]
             out[r] = int(best[0])
         return out
-
-
-def predict_knn(model: KnnModel, x: np.ndarray) -> int:
-    """Class id for one already-scaled feature vector."""
-    return int(model.predict_matrix(np.asarray(x)[None, :])[0])

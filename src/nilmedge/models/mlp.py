@@ -61,8 +61,3 @@ class MlpModel(BaseModel):
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores_matrix(x), axis=1).astype(np.int64)
-
-
-def predict_mlp(model: MlpModel, x: np.ndarray) -> int:
-    """Class id for one already-scaled feature vector."""
-    return int(model.predict_matrix(np.asarray(x)[None, :])[0])

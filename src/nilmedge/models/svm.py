@@ -115,8 +115,3 @@ class SvmModel(BaseModel):
                 best = best[np.flatnonzero(tied_scores == tied_scores.max())]
             out[r] = int(best[0])
         return out
-
-
-def predict_svm(model: SvmModel, x: np.ndarray) -> int:
-    """Class id for one already-scaled feature vector."""
-    return int(model.predict_matrix(np.asarray(x)[None, :])[0])

@@ -6,10 +6,14 @@ that precision; the binary format is bit-exact.
 
 Binary: magic ``NILM1``, then little-endian u32 sample count, f64 rate_hz,
 and count pairs of f64 (v, i).
+
+Both loaders reject NaN and infinite samples: CSV names the line, binary the
+sample index.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -82,6 +86,8 @@ def _load_csv(path: Path) -> SampleStream:
                 t, vv, ii = (float(c) for c in cells)
             except ValueError:
                 raise SampleParseError(f"non-numeric cell in {line!r}", line_no=line_no) from None
+            if not (math.isfinite(t) and math.isfinite(vv) and math.isfinite(ii)):
+                raise SampleParseError(f"non-finite value in {line!r}", line_no=line_no)
             if prev_t is None and t > 0:
                 raise SampleParseError("first sample must start at t_s = 0", line_no=line_no)
             if prev_t is not None and t <= prev_t:
@@ -116,4 +122,7 @@ def _load_bin(path: Path) -> SampleStream:
     if len(blob) != expected:
         raise SampleParseError(f"expected {expected} bytes for {count} samples, file has {len(blob)}")
     pairs = np.frombuffer(blob, dtype="<f8", offset=header_len).reshape(count, 2)
+    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
+    if bad.size:
+        raise SampleParseError(f"sample {int(bad[0])} is not finite")
     return SampleStream(v=pairs[:, 0].copy(), i=pairs[:, 1].copy(), rate_hz=int(rate))

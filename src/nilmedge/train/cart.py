@@ -7,6 +7,11 @@ at the midpoint between adjacent distinct sorted values. A node becomes a
 leaf when it is pure, the depth limit is reached, or no split improves on
 the parent impurity. Per-tree RNG streams derive from (seed, tree index), so
 training is reproducible and order-independent.
+
+Split search scores the whole (rows, candidates) block at once: one stable
+sort per column, one running class count, and the Gini at cut positions
+only. Ties go to the first cut in a column, then to the first candidate, as
+a per-feature loop that keeps the first strictly better split would pick.
 """
 
 from __future__ import annotations
@@ -32,31 +37,29 @@ def _majority(counts: np.ndarray) -> int:
 
 
 def _best_split(x, y, feature_ids, n_classes):
-    """Best (feature, threshold, weighted child Gini) over the candidates."""
+    """Best (feature, threshold, weighted child Gini) over the candidates,
+    or None when every candidate column is constant. Positions that are not
+    cuts score inf, and argmin's first hit gives the tie rules."""
     n = y.size
     parent_counts = np.bincount(y, minlength=n_classes)
-    best = None
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    for f in feature_ids:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        cut = np.flatnonzero(xs[:-1] < xs[1:])  # split after position i
-        if cut.size == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)
-        left = cum[cut]  # (n_cuts, C)
-        right = parent_counts - left
-        nl = left.sum(axis=1)
-        nr = n - nl
-        gini_l = 1.0 - np.einsum("ij,ij->i", left, left) / (nl * nl)
-        gini_r = 1.0 - np.einsum("ij,ij->i", right, right) / (nr * nr)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmin(weighted))
-        if best is None or weighted[k] < best[2]:
-            threshold = (xs[cut[k]] + xs[cut[k] + 1]) / 2.0
-            best = (int(f), float(threshold), float(weighted[k]))
-    return best
+    block = x[:, feature_ids]  # (n, k)
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    is_cut = xs[:-1] < xs[1:]  # split after position i
+    if not is_cut.any():
+        return None
+    left = np.cumsum(np.eye(n_classes)[y[order]], axis=0)[:-1]  # (n-1, k, C)
+    right = parent_counts - left
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    gini_l = 1.0 - np.einsum("ijc,ijc->ij", left, left) / (nl * nl)
+    gini_r = 1.0 - np.einsum("ijc,ijc->ij", right, right) / (nr * nr)
+    weighted = np.where(is_cut, (nl * gini_l + nr * gini_r) / n, np.inf)
+    rows = np.argmin(weighted, axis=0)  # first minimum per column
+    col = int(np.argmin(weighted[rows, np.arange(rows.size)]))
+    cut = rows[col]
+    threshold = (xs[cut, col] + xs[cut + 1, col]) / 2.0
+    return int(feature_ids[col]), float(threshold), float(weighted[cut, col])
 
 
 def _grow_tree(x, y, n_classes, max_depth, n_candidates, rng) -> TreeNodes:
@@ -74,27 +77,30 @@ def _grow_tree(x, y, n_classes, max_depth, n_candidates, rng) -> TreeNodes:
         leaf_class.append(LEAF)
         return len(feature) - 1
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    # build receives each node's rows, not indices into the tree's x: build
+    # is a closure over itself, so whatever it captures stays alive until
+    # the cycle collector runs, and bootstrap copies of x would pile up
+    def build(x: np.ndarray, y: np.ndarray, depth: int) -> int:
         node = new_node()
-        counts = np.bincount(y[rows], minlength=n_classes)
+        counts = np.bincount(y, minlength=n_classes)
         pure = np.count_nonzero(counts) <= 1
         if pure or (max_depth is not None and depth >= max_depth):
             leaf_class[node] = _majority(counts)
             return node
         candidates = rng.choice(x.shape[1], size=n_candidates, replace=False)
-        split = _best_split(x[rows], y[rows], candidates, n_classes)
+        split = _best_split(x, y, candidates, n_classes)
         if split is None or split[2] >= _gini(counts) - _IMPROVEMENT_EPS:
             leaf_class[node] = _majority(counts)
             return node
         f, thr, _ = split
-        go_left = x[rows, f] <= thr
+        go_left = x[:, f] <= thr
         feature[node] = f
         threshold[node] = thr
-        left[node] = build(rows[go_left], depth + 1)
-        right[node] = build(rows[~go_left], depth + 1)
+        left[node] = build(x[go_left], y[go_left], depth + 1)
+        right[node] = build(x[~go_left], y[~go_left], depth + 1)
         return node
 
-    build(np.arange(y.size), 0)
+    build(x, y, 0)
     return TreeNodes(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),

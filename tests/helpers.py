@@ -203,6 +203,46 @@ def rf_oracle(model: RfModel, x) -> int:
     return min(c for c, v in votes.items() if v == best)
 
 
+def leaf_oracle(tree: TreeNodes, x) -> int:
+    """Leaf class one tree gives x, routed one node at a time."""
+    node = 0
+    while tree.feature[node] != -1:
+        node = int(tree.left[node] if x[tree.feature[node]] <= tree.threshold[node]
+                   else tree.right[node])
+    return int(tree.leaf_class[node])
+
+
+# --- CART split-search oracle ----------------------------------------------------
+
+def best_split_oracle(x, y, feature_ids, n_classes):
+    """Per-feature loop: sort one candidate column at a time, keep the first
+    strictly better weighted child Gini."""
+    n = y.size
+    parent_counts = np.bincount(y, minlength=n_classes)
+    best = None
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    for f in feature_ids:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        cut = np.flatnonzero(xs[:-1] < xs[1:])  # split after position i
+        if cut.size == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        left = cum[cut]  # (n_cuts, C)
+        right = parent_counts - left
+        nl = left.sum(axis=1)
+        nr = n - nl
+        gini_l = 1.0 - np.einsum("ij,ij->i", left, left) / (nl * nl)
+        gini_r = 1.0 - np.einsum("ij,ij->i", right, right) / (nr * nr)
+        weighted = (nl * gini_l + nr * gini_r) / n
+        k = int(np.argmin(weighted))
+        if best is None or weighted[k] < best[2]:
+            threshold = (xs[cut[k]] + xs[cut[k] + 1]) / 2.0
+            best = (int(f), float(threshold), float(weighted[k]))
+    return best
+
+
 # --- scalar power oracles --------------------------------------------------------
 
 def real_power_oracle(v, i) -> float:

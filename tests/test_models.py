@@ -15,9 +15,9 @@ from helpers import (
 from nilmedge.features import DEFAULT_LAYOUT
 from nilmedge.models.base import Scaler, ZeroVarianceError
 from nilmedge.models.forest import RfModel, TreeIntegrityError, TreeNodes
-from nilmedge.models.knn import KnnModel, predict_knn
-from nilmedge.models.mlp import MlpModel, predict_mlp
-from nilmedge.models.svm import SvmModel, kernel_matrix, predict_svm
+from nilmedge.models.knn import KnnModel
+from nilmedge.models.mlp import MlpModel
+from nilmedge.models.svm import SvmModel, kernel_matrix
 
 
 def _base(n_classes, f):
@@ -45,33 +45,33 @@ class TestKnn:
     def test_k1_returns_matching_row_label(self, rng):
         m = random_knn(rng, k=1)
         for row in (0, 10, 30):
-            assert predict_knn(m, m.train_x[row]) == m.train_y[row]
+            assert int(m.predict_matrix(m.train_x[row][None, :])[0]) == m.train_y[row]
 
     def test_majority_two_to_one(self):
         m = KnnModel(**_base(2, 1), k=3,
                      train_x=np.array([[0.0], [0.1], [5.0]]),
                      train_y=np.array([0, 0, 1]))
-        assert predict_knn(m, np.array([0.05])) == 0
+        assert int(m.predict_matrix(np.array([0.05])[None, :])[0]) == 0
 
     def test_matches_full_sort_oracle(self, rng):
         m = random_knn(rng, n=200, f=5, n_classes=4, k=5)
         queries = rng.normal(size=(100, 5))
         for q in queries:
-            assert predict_knn(m, q) == knn_oracle(m, q)
+            assert int(m.predict_matrix(q[None, :])[0]) == knn_oracle(m, q)
 
     def test_distance_tie_prefers_lower_row(self):
         # two training rows equidistant from the query, different labels
         m = KnnModel(**_base(2, 1), k=1,
                      train_x=np.array([[1.0], [-1.0]]),
                      train_y=np.array([1, 0]))
-        assert predict_knn(m, np.array([0.0])) == 1  # row 0 wins the tie
+        assert int(m.predict_matrix(np.array([0.0])[None, :])[0]) == 1  # row 0 wins the tie
 
     def test_permutation_invariance_without_ties(self, rng):
         m = random_knn(rng, n=80, f=4, n_classes=3, k=5)
         perm = rng.permutation(80)
         m2 = KnnModel(**_base(3, 4), k=5, train_x=m.train_x[perm], train_y=m.train_y[perm])
         for q in rng.normal(size=(40, 4)):
-            assert predict_knn(m, q) == predict_knn(m2, q)
+            assert int(m.predict_matrix(q[None, :])[0]) == int(m2.predict_matrix(q[None, :])[0])
 
     def test_k_larger_than_n_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -80,7 +80,7 @@ class TestKnn:
     def test_dimension_mismatch_rejected(self, rng):
         m = random_knn(rng, f=5)
         with pytest.raises(ValueError):
-            predict_knn(m, np.zeros(4))
+            int(m.predict_matrix(np.zeros(4)[None, :])[0])
 
 
 class TestSvm:
@@ -91,7 +91,7 @@ class TestSvm:
                      dual_coef=np.array([[1.0]]), intercepts=np.array([0.0]))
         d = m.decision_pairs(sv)[0, 0]
         assert d == 25.0  # squared norm of the SV
-        assert predict_svm(m, sv[0]) == 0
+        assert int(m.predict_matrix(sv[0][None, :])[0]) == 0
 
     def test_rbf_kernel_is_one_at_zero_distance(self, rng):
         x = rng.normal(size=(3, 4))
@@ -101,12 +101,12 @@ class TestSvm:
     def test_matches_pairwise_enumeration_oracle(self, rng):
         m = random_svm(rng, n_classes=4)
         for q in rng.normal(size=(100, 5)):
-            assert predict_svm(m, q) == svm_oracle(m, q)
+            assert int(m.predict_matrix(q[None, :])[0]) == svm_oracle(m, q)
 
     def test_linear_kernel_against_oracle(self, rng):
         m = random_svm(rng, n_classes=3, kernel="linear")
         for q in rng.normal(size=(50, 5)):
-            assert predict_svm(m, q) == svm_oracle(m, q)
+            assert int(m.predict_matrix(q[None, :])[0]) == svm_oracle(m, q)
 
     def test_rbf_translation_invariance(self, rng):
         m = random_svm(rng, n_classes=3)
@@ -138,17 +138,17 @@ class TestMlp:
         m = MlpModel(**_base(3, 4),
                      weights=(np.zeros((5, 4)), np.zeros((3, 5))),
                      biases=(np.zeros(5), np.zeros(3)))
-        assert predict_mlp(m, np.ones(4)) == 0
+        assert int(m.predict_matrix(np.ones(4)[None, :])[0]) == 0
 
     def test_single_path_sign_toggle(self):
         w1 = np.zeros((2, 2)); w1[0, 0] = 1.0
         w2 = np.zeros((2, 2)); w2[0, 0] = 1.0
         m = MlpModel(**_base(2, 2), weights=(w1, w2), biases=(np.zeros(2), np.zeros(2)))
-        assert predict_mlp(m, np.array([3.0, 0.0])) == 0
-        assert predict_mlp(m, np.array([-3.0, 0.0])) == 0  # relu kills it, tie -> 0
+        assert int(m.predict_matrix(np.array([3.0, 0.0])[None, :])[0]) == 0
+        assert int(m.predict_matrix(np.array([-3.0, 0.0])[None, :])[0]) == 0  # relu kills it, tie -> 0
         w2b = np.zeros((2, 2)); w2b[1, 0] = 1.0
         m2 = MlpModel(**_base(2, 2), weights=(w1, w2b), biases=(np.zeros(2), np.zeros(2)))
-        assert predict_mlp(m2, np.array([3.0, 0.0])) == 1
+        assert int(m2.predict_matrix(np.array([3.0, 0.0])[None, :])[0]) == 1
 
     def test_matches_scalar_oracle(self, rng):
         m = random_mlp(rng, sizes=(4, 3, 3, 2))
@@ -156,7 +156,7 @@ class TestMlp:
             got_scores = m.scores_matrix(q[None, :])[0]
             want_scores = mlp_oracle_scores(m, q)
             np.testing.assert_allclose(got_scores, want_scores, rtol=1e-12, atol=1e-12)
-            assert predict_mlp(m, q) == mlp_oracle(m, q)
+            assert int(m.predict_matrix(q[None, :])[0]) == mlp_oracle(m, q)
 
     def test_final_layer_positive_scaling_keeps_argmax(self, rng):
         m = random_mlp(rng, sizes=(4, 6, 5, 3))

@@ -78,3 +78,34 @@ def test_csv_rate_recovered(tmp_path, rng):
     path = tmp_path / "r.csv"
     save_samples(s, path, format="csv")
     assert load_samples(path).rate_hz == 10000
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_csv_value_names_its_line(tmp_path, cell):
+    rows = ["t_s,v,i"] + [f"{k/10000},1.0,2.0" for k in range(20)]
+    rows[5] = f"0.0004,1.0,{cell}"  # line 6 of the file
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SampleParseError) as err:
+        load_samples(path, format="csv")
+    assert err.value.line_no == 6
+    assert "6" in str(err.value)
+
+
+def test_nan_time_stamp_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("t_s,v,i\n0,1.0,2.0\nnan,1.0,2.0\n")
+    with pytest.raises(SampleParseError) as err:
+        load_samples(path, format="csv")
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_binary_sample_names_its_index(tmp_path, rng, value):
+    s = random_stream(rng, n=100)
+    s.i[73] = value
+    s.v[90] = value
+    path = tmp_path / "nan.bin"
+    save_samples(s, path, format="bin")
+    with pytest.raises(SampleParseError, match="sample 73 "):
+        load_samples(path)
