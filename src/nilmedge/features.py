@@ -252,17 +252,6 @@ def extract_features(w: SampleWindow, layout: FeatureLayout = DEFAULT_LAYOUT) ->
     return FeatureVector(values=np.concatenate(parts), layout=layout, window_index=w.index)
 
 
-def select_features(vector: np.ndarray | FeatureVector, indices: Sequence[int]) -> np.ndarray:
-    """Project a vector onto `indices`, preserving their order."""
-    values = vector.values if isinstance(vector, FeatureVector) else np.asarray(vector)
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError("selection indices must be distinct")
-    if any(i < 0 or i >= values.size for i in idx):
-        raise IndexError(f"selection index out of bounds for length {values.size}")
-    return values[np.array(idx, dtype=np.intp)]
-
-
 def feature_matrix(windows: Iterable[SampleWindow], layout: FeatureLayout = DEFAULT_LAYOUT):
     """Stack extract_features over windows; returns (matrix, window indices)."""
     rows = []

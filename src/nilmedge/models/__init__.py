@@ -1,6 +1,6 @@
 """Classifier inference engines with a uniform predict/serialize contract."""
 
-from .base import BaseModel, Scaler, ZeroVarianceError, classify, classify_matrix
+from .base import BaseModel, Scaler, ZeroVarianceError, classify_matrix
 from .forest import RfModel, TreeIntegrityError, TreeNodes
 from .io import (
     ModelFormatError,
@@ -23,7 +23,6 @@ __all__ = [
     "BaseModel",
     "Scaler",
     "ZeroVarianceError",
-    "classify",
     "classify_matrix",
     "KnnModel",
     "SvmModel",

@@ -2,18 +2,20 @@
 
 Every trained model carries the full-vector layout it was built from, the
 indices it actually consumes, an optional scaler (tree models skip scaling),
-and the class-id -> name table. `classify_matrix` applies selection and
-scaling before handing rows to the kind-specific predictor, so callers can
-always feed full feature vectors.
+and the class-id -> name table; the indices are checked when the model is
+built. `classify_matrix` is the one inference path: `prepare_matrix` selects
+and scales full-layout rows, then the kind's `predict_matrix` labels them. One
+vector is the one-row case, `classify_matrix(model, x[None, :])[0]`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FeatureLayout, select_features
+from ..features import FeatureLayout
 
 
 class ZeroVarianceError(ValueError):
@@ -59,6 +61,19 @@ class BaseModel:
     scaler: Scaler | None
     metadata: dict = field(default_factory=dict, compare=False)
 
+    def __post_init__(self):
+        try:
+            indices = tuple(operator.index(i) for i in self.selected_indices)
+        except TypeError:
+            raise ValueError("selected indices must be integers") from None
+        if len(set(indices)) != len(indices):
+            raise ValueError("selected indices must be distinct")
+        if any(i < 0 or i >= len(self.layout) for i in indices):
+            raise ValueError(f"selected index out of range for a {len(self.layout)}-feature layout")
+        if self.scaler is not None and self.scaler.mean.shape != (len(indices),):
+            raise ValueError(f"the scaler must cover the {len(indices)} selected features")
+        object.__setattr__(self, "selected_indices", indices)
+
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
@@ -67,20 +82,11 @@ class BaseModel:
     def n_features(self) -> int:
         return len(self.selected_indices)
 
-    def prepare(self, x_full: np.ndarray) -> np.ndarray:
-        """Select this model's features from a full-layout vector and scale them."""
-        x = select_features(np.asarray(x_full, dtype=np.float64), self.selected_indices)
-        return self.scaler.transform(x) if self.scaler is not None else x
-
     def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Select this model's columns from full-layout rows and scale them."""
         matrix = np.asarray(matrix, dtype=np.float64)
         sub = matrix[:, np.array(self.selected_indices, dtype=np.intp)]
         return self.scaler.transform(sub) if self.scaler is not None else sub
-
-
-def classify(model, x_full: np.ndarray) -> int:
-    """Predict the class id for one full-layout feature vector."""
-    return int(model.predict_matrix(model.prepare(x_full)[None, :])[0])
 
 
 def classify_matrix(model, matrix_full: np.ndarray) -> np.ndarray:

@@ -143,6 +143,7 @@ class RfModel(BaseModel):
     table: NodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise ValueError("a forest needs at least one tree")

@@ -13,6 +13,8 @@ hex-encoded (float.hex) there to stay lossless.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import struct
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from ..features import FeatureLayout
 from .base import BaseModel, Scaler
-from .forest import RfModel, TreeIntegrityError, TreeNodes
+from .forest import RfModel, TreeNodes
 from .knn import KnnModel
 from .mlp import MlpModel
 from .svm import SvmModel
@@ -147,6 +149,19 @@ class _Reader:
         return out
 
 
+def _manifest(meta) -> list[tuple[str, np.dtype, list[int]]]:
+    """The header's (name, dtype, shape) list; integer or real arrays only."""
+    try:
+        entries = [(e["name"], np.dtype(e["dtype"]), [operator.index(n) for n in e["shape"]])
+                   for e in meta["arrays"]]
+    except (KeyError, TypeError, ValueError, SyntaxError) as exc:
+        raise ModelFormatError(f"corrupt array manifest: {exc!r}") from None
+    for name, dtype, shape in entries:
+        if dtype.kind not in "iuf" or min(shape, default=0) < 0:
+            raise ModelFormatError(f"array {name!r} declares dtype {dtype} and shape {shape}")
+    return entries
+
+
 def _rebuild(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> BaseModel:
     scaler = None
     if meta["has_scaler"]:
@@ -209,21 +224,19 @@ def deserialize(blob: bytes) -> BaseModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"corrupt header: {exc}") from None
     arrays: dict[str, np.ndarray] = {}
-    for entry in meta["arrays"]:
+    for name, dtype, shape in _manifest(meta):
         (raw_len,) = struct.unpack("<I", reader.take(4))
         raw = reader.take(raw_len)
-        dtype = np.dtype(entry["dtype"])
-        expected = int(np.prod(entry["shape"], dtype=np.int64)) * dtype.itemsize
-        if raw_len != expected:
+        if raw_len != math.prod(shape) * dtype.itemsize:
             raise ModelIntegrityError(
-                f"array {entry['name']!r} declares shape {entry['shape']} but carries {raw_len} bytes"
+                f"array {name!r} declares shape {shape} but carries {raw_len} bytes"
             )
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if reader.pos != len(blob):
         raise ModelFormatError(f"{len(blob) - reader.pos} trailing bytes after the last section")
     try:
         return _rebuild(kind, meta, arrays)
-    except (ValueError, KeyError, TreeIntegrityError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ModelIntegrityError(str(exc)) from None
 
 
@@ -258,15 +271,14 @@ def from_json(text: str) -> BaseModel:
         raise ModelVersionError(f"unsupported model format version {doc.get('version')}")
     meta = doc["meta"]
     arrays: dict[str, np.ndarray] = {}
-    for entry in meta["arrays"]:
-        flat = doc["arrays"][entry["name"]]
-        dtype = np.dtype(entry["dtype"])
+    for name, dtype, shape in _manifest(meta):
+        flat = doc["arrays"][name]
         if dtype.kind == "f":
             values = np.array([float.fromhex(v) for v in flat], dtype=dtype)
         else:
             values = np.array(flat, dtype=dtype)
-        arrays[entry["name"]] = values.reshape(entry["shape"])
+        arrays[name] = values.reshape(shape)
     try:
         return _rebuild(doc["kind"], meta, arrays)
-    except (ValueError, KeyError, TreeIntegrityError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ModelIntegrityError(str(exc)) from None

@@ -22,8 +22,11 @@ class KnnModel(BaseModel):
     train_y: np.ndarray = None
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "train_x", np.asarray(self.train_x, dtype=np.float64))
         object.__setattr__(self, "train_y", np.asarray(self.train_y, dtype=np.int32))
+        if self.train_x.ndim != 2 or self.train_x.shape[1] != self.n_features:
+            raise ValueError(f"the training matrix must be {self.n_features} features wide")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.train_x.shape[0] < self.k:

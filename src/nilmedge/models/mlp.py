@@ -6,7 +6,8 @@ Weights are stored as (out, in) matrices. The forward pass is
     scores = W_last a + b_last
 
 and the prediction is the argmax of the scores (lowest class id on exact
-ties, which is what argmax-first-hit gives).
+ties, which is what argmax-first-hit gives). `forward` is that loop, written
+once: inference, SGD's backward pass and its hold-out scoring all call it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,23 @@ import numpy as np
 from .base import BaseModel
 
 
+def forward(weights, biases, x, hidden=None):
+    """Scores for the rows of x; each rectified activation goes onto `hidden` if given."""
+    a = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = np.maximum(a @ w.T + b, 0.0)
+        if hidden is not None:
+            hidden.append(a)
+    return a @ weights[-1].T + biases[-1]
+
+
 @dataclass(frozen=True)
 class MlpModel(BaseModel):
     weights: tuple[np.ndarray, ...] = ()  # each (out_i, in_i)
     biases: tuple[np.ndarray, ...] = ()  # each (out_i,)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(
             self, "weights", tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
         )
@@ -35,6 +47,8 @@ class MlpModel(BaseModel):
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError("each layer needs a (out, in) matrix and an (out,) bias")
+        if self.weights[0].shape[1] != self.n_features:
+            raise ValueError(f"the first layer must take {self.n_features} features")
         for prev, nxt in zip(self.weights, self.weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise ValueError(
@@ -55,9 +69,7 @@ class MlpModel(BaseModel):
         a = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if a.shape[1] != self.weights[0].shape[1]:
             raise ValueError(f"expected {self.weights[0].shape[1]} features, got {a.shape[1]}")
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w.T + b, 0.0)
-        return a @ self.weights[-1].T + self.biases[-1]
+        return forward(self.weights, self.biases, a)
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores_matrix(x), axis=1).astype(np.int64)

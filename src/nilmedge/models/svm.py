@@ -53,11 +53,14 @@ class SvmModel(BaseModel):
     intercepts: np.ndarray = None  # (C*(C-1)/2,) in pair_order
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "support", np.asarray(self.support, dtype=np.float64))
         object.__setattr__(self, "sv_counts", np.asarray(self.sv_counts, dtype=np.int64))
         object.__setattr__(self, "dual_coef", np.asarray(self.dual_coef, dtype=np.float64))
         object.__setattr__(self, "intercepts", np.asarray(self.intercepts, dtype=np.float64))
         c = self.n_classes
+        if self.support.ndim != 2 or self.support.shape[1] != self.n_features:
+            raise ValueError(f"support vectors must be {self.n_features} features wide")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.kernel == "rbf" and self.gamma <= 0:

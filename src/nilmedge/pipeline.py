@@ -34,7 +34,7 @@ from .events import (
     event_guard,
 )
 from .features import DEFAULT_LAYOUT, FeatureLayout, extract_features, real_power
-from .models.base import BaseModel, classify
+from .models.base import BaseModel, classify_matrix
 from .signals import SampleStream, window_stream
 from .synth import LabelTrack
 from .train.dataset import Dataset
@@ -189,7 +189,7 @@ def classify_stream(
             elif x is None:  # lookahead or look-back never filled
                 status, label = "pending", None
             else:
-                status, label = "labeled", model.class_names[classify(model, x)]
+                status, label = "labeled", model.class_names[classify_matrix(model, x[None, :])[0]]
             out.append(StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
                                    valid=valid, status=status, label=label))
     return out

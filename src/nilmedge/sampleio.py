@@ -8,7 +8,8 @@ Binary: magic ``NILM1``, then little-endian u32 sample count, f64 rate_hz,
 and count pairs of f64 (v, i).
 
 Both loaders reject NaN and infinite samples: CSV names the line, binary the
-sample index.
+sample index. The binary header's rate must be one the signal chain takes:
+the 10 kHz window rate or the 20 kHz acquisition rate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import SAMPLE_RATE_HZ, SampleStream
+from .signals import ACQUISITION_RATE_HZ, SAMPLE_RATE_HZ, SampleStream
 
 BINARY_MAGIC = b"NILM1"
 FORMATS = ("csv", "bin")
@@ -118,6 +119,10 @@ def _load_bin(path: Path) -> SampleStream:
     if blob[: len(BINARY_MAGIC)] != BINARY_MAGIC:
         raise SampleParseError(f"bad magic, expected {BINARY_MAGIC!r}")
     count, rate = struct.unpack_from("<Id", blob, len(BINARY_MAGIC))
+    if rate not in (SAMPLE_RATE_HZ, ACQUISITION_RATE_HZ):
+        raise SampleParseError(
+            f"header rate {rate!r} Hz is neither {SAMPLE_RATE_HZ} nor {ACQUISITION_RATE_HZ} Hz"
+        )
     expected = header_len + count * 16
     if len(blob) != expected:
         raise SampleParseError(f"expected {expected} bytes for {count} samples, file has {len(blob)}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..models.forest import LEAF, RfModel, TreeNodes
-from .dataset import Dataset
+from .dataset import Dataset, model_inputs
 
 _IMPROVEMENT_EPS = 1e-12
 
@@ -120,9 +120,7 @@ def train_rf(
     """Fit a forest on (optionally feature-selected) raw, unscaled features."""
     if n_trees < 1:
         raise ValueError("a forest needs at least one tree")
-    if selected_indices is None:
-        selected_indices = tuple(range(d.n_features))
-    x = d.x[:, np.array(selected_indices, dtype=np.intp)]
+    selected_indices, _, x = model_inputs(d, selected_indices, scale=False)
     y = d.y
     n_classes = len(d.class_names)
     n_candidates = max(1, int(np.ceil(np.sqrt(x.shape[1]))))
@@ -134,7 +132,7 @@ def train_rf(
     return RfModel(
         class_names=d.class_names,
         layout=d.layout,
-        selected_indices=tuple(selected_indices),
+        selected_indices=selected_indices,
         scaler=None,  # trees are scale-free
         trees=tuple(trees),
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..features import DEFAULT_LAYOUT, FeatureLayout
+from ..models.base import Scaler
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,18 @@ class Dataset:
             layout=self.layout,
             provenance=self.provenance,
         )
+
+
+def model_inputs(d: Dataset, selected_indices=None, scale: bool = True):
+    """What a model trains on: (indices, scaler or None, x), where x holds the
+    selected columns of d (all of them by default), standardized by a scaler
+    fitted on them unless scale is False."""
+    indices = tuple(range(d.n_features) if selected_indices is None else selected_indices)
+    x = d.x[:, np.array(indices, dtype=np.intp)]
+    if not scale:
+        return indices, None, x
+    scaler = Scaler.fit(x)
+    return indices, scaler, scaler.transform(x)
 
 
 def split_dataset(d: Dataset, train_frac: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -3,16 +3,16 @@
 Hidden layers are rectified; weights start uniform in +-sqrt(6/(in+out))
 with zero biases. Ten percent of the training rows are held out internally
 and the epoch snapshot with the best held-out accuracy is returned (earliest
-epoch on ties). Fully deterministic for a fixed seed.
+epoch on ties). Fully deterministic for a fixed seed. The forward pass is the
+model's own `models.mlp.forward`, which also collects the activations backprop needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..models.base import Scaler
-from ..models.mlp import MlpModel
-from .dataset import Dataset
+from ..models.mlp import MlpModel, forward
+from .dataset import Dataset, model_inputs
 
 DEFAULT_HIDDEN = (800, 100)
 
@@ -35,13 +35,6 @@ def init_parameters(layer_sizes, rng):
     return weights, biases
 
 
-def forward_scores(weights, biases, x):
-    a = np.atleast_2d(x)
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
-    return a @ weights[-1].T + biases[-1]
-
-
 def loss_and_grads(weights, biases, x, y):
     """Mean softmax cross-entropy over the batch and its analytic gradients.
 
@@ -53,11 +46,7 @@ def loss_and_grads(weights, biases, x, y):
     batch = x.shape[0]
 
     activations = [x]
-    a = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
-        activations.append(a)
-    scores = a @ weights[-1].T + biases[-1]
+    scores = forward(weights, biases, x, activations)
 
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -89,11 +78,7 @@ def train_mlp(
 ) -> MlpModel:
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if selected_indices is None:
-        selected_indices = tuple(range(d.n_features))
-    x_raw = d.x[:, np.array(selected_indices, dtype=np.intp)]
-    scaler = Scaler.fit(x_raw)
-    x = scaler.transform(x_raw)
+    selected_indices, scaler, x = model_inputs(d, selected_indices)
     y = d.y
     n_classes = len(d.class_names)
 
@@ -122,7 +107,7 @@ def train_mlp(
                 w -= lr * g
             for b, g in zip(biases, b_grads):
                 b -= lr * g
-        hold_pred = np.argmax(forward_scores(weights, biases, x_hold), axis=1)
+        hold_pred = np.argmax(forward(weights, biases, x_hold), axis=1)
         acc = float(np.mean(hold_pred == y_hold))
         if acc > best_acc:
             best_acc = acc
@@ -132,7 +117,7 @@ def train_mlp(
     return MlpModel(
         class_names=d.class_names,
         layout=d.layout,
-        selected_indices=tuple(selected_indices),
+        selected_indices=selected_indices,
         scaler=scaler,
         metadata={"best_epoch": best_epoch, "holdout_accuracy": best_acc},
         weights=tuple(snap_w),

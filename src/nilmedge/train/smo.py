@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..models.base import Scaler
 from ..models.svm import SvmModel, kernel_matrix, pair_order
-from .dataset import Dataset
+from .dataset import Dataset, model_inputs
 
 KKT_TOL = 1e-3
 STEP_EPS = 1e-12
@@ -142,11 +141,7 @@ def train_svm(
     """
     if c <= 0:
         raise ValueError("regularization parameter c must be positive")
-    if selected_indices is None:
-        selected_indices = tuple(range(d.n_features))
-    x_raw = d.x[:, np.array(selected_indices, dtype=np.intp)]
-    scaler = Scaler.fit(x_raw)
-    x = scaler.transform(x_raw)
+    selected_indices, scaler, x = model_inputs(d, selected_indices)
     y = d.y
     n_classes = len(d.class_names)
     if gamma is None:
@@ -200,7 +195,7 @@ def train_svm(
     return SvmModel(
         class_names=d.class_names,
         layout=d.layout,
-        selected_indices=tuple(selected_indices),
+        selected_indices=selected_indices,
         scaler=scaler,
         metadata=metadata,
         kernel=kernel,

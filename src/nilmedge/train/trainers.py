@@ -1,17 +1,17 @@
 """Training entry points, keyed by model kind.
 
 `train_model` is the uniform dispatcher used by grid search and the feature
-sweep; per-kind hyperparameter dictionaries mirror the GridSpec axes.
+sweep. Its params are the trainer's keyword arguments, so every default
+lives in one trainer signature and an unknown key raises `TypeError`; the
+seed goes to the kinds that draw random numbers (mlp and rf).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..models.base import BaseModel, Scaler
+from ..models.base import BaseModel
 from ..models.knn import KnnModel
 from .cart import train_rf
-from .dataset import Dataset
+from .dataset import Dataset, model_inputs
 from .sgd import train_mlp
 from .smo import train_svm
 
@@ -21,49 +21,23 @@ MODEL_KINDS = ("knn", "svm", "mlp", "rf")
 def train_knn(d: Dataset, k: int = 1,
               selected_indices: tuple[int, ...] | None = None) -> KnnModel:
     """kNN 'training': fit the scaler and store the scaled rows verbatim."""
-    if selected_indices is None:
-        selected_indices = tuple(range(d.n_features))
-    x_raw = d.x[:, np.array(selected_indices, dtype=np.intp)]
-    scaler = Scaler.fit(x_raw)
+    selected_indices, scaler, x = model_inputs(d, selected_indices)
     return KnnModel(
         class_names=d.class_names,
         layout=d.layout,
-        selected_indices=tuple(selected_indices),
+        selected_indices=selected_indices,
         scaler=scaler,
         k=k,
-        train_x=scaler.transform(x_raw),
+        train_x=x,
         train_y=d.y,
     )
 
 
 def train_model(kind: str, d: Dataset, params: dict, seed: int = 0,
                 selected_indices: tuple[int, ...] | None = None) -> BaseModel:
-    if kind == "knn":
-        return train_knn(d, k=params.get("k", 1), selected_indices=selected_indices)
-    if kind == "svm":
-        return train_svm(
-            d,
-            c=params.get("c", 1.0),
-            gamma=params.get("gamma"),
-            kernel=params.get("kernel", "rbf"),
-            selected_indices=selected_indices,
-        )
-    if kind == "mlp":
-        return train_mlp(
-            d,
-            hidden=tuple(params.get("hidden", (800, 100))),
-            lr=params.get("lr", 0.05),
-            epochs=params.get("epochs", 200),
-            batch=params.get("batch", 32),
-            seed=seed,
-            selected_indices=selected_indices,
-        )
-    if kind == "rf":
-        return train_rf(
-            d,
-            n_trees=params.get("n_trees", 100),
-            max_depth=params.get("max_depth"),
-            seed=seed,
-            selected_indices=selected_indices,
-        )
-    raise ValueError(f"unknown model kind {kind!r} (expected one of {MODEL_KINDS})")
+    # looked up per call: a name rebound on this module (a tracer) takes effect
+    trainers = {"knn": train_knn, "svm": train_svm, "mlp": train_mlp, "rf": train_rf}
+    if kind not in trainers:
+        raise ValueError(f"unknown model kind {kind!r} (expected one of {MODEL_KINDS})")
+    seeded = {"seed": seed} if kind in ("mlp", "rf") else {}
+    return trainers[kind](d, selected_indices=selected_indices, **params, **seeded)

@@ -18,7 +18,6 @@ from nilmedge.features import (
     feature_matrix,
     real_power,
     reactive_power,
-    select_features,
     write_features_csv,
 )
 from nilmedge.signals import SampleWindow
@@ -246,30 +245,6 @@ class TestExtract:
     def test_vector_layout_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FeatureVector(values=np.zeros(4), layout=DEFAULT_LAYOUT)
-
-
-class TestSelect:
-    def test_identity_selection(self, rng):
-        x = rng.normal(size=10)
-        np.testing.assert_array_equal(select_features(x, list(range(10))), x)
-
-    def test_single_index(self):
-        assert select_features(np.array([7.0, 1.0]), [0]).tolist() == [7.0]
-
-    def test_matches_copy_oracle(self, rng):
-        x = rng.normal(size=30)
-        idx = list(rng.permutation(30)[:11])
-        got = select_features(x, idx)
-        for pos, k in enumerate(idx):
-            assert got[pos] == x[k]
-
-    def test_duplicate_index_rejected(self):
-        with pytest.raises(ValueError):
-            select_features(np.zeros(5), [1, 1])
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(IndexError):
-            select_features(np.zeros(5), [5])
 
 
 def test_feature_csv_export(tmp_path, rng):

@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from helpers import random_knn, random_mlp, random_rf, random_svm
+from helpers import blob_dataset, random_knn, random_mlp, random_rf, random_svm
 from nilmedge.models.base import Scaler
 from nilmedge.models.io import (
     ModelFormatError,
@@ -16,6 +19,7 @@ from nilmedge.models.io import (
     serialize,
     to_json,
 )
+from nilmedge.train import train_model
 
 
 def all_kinds(rng):
@@ -104,3 +108,69 @@ def test_json_twin_is_lossless(rng):
 def test_json_rejects_wrong_document(rng):
     with pytest.raises(ModelFormatError):
         from_json('{"format": "something-else"}')
+
+
+def with_header(blob: bytes, **changes) -> bytes:
+    """The blob with some of its JSON header's fields replaced."""
+    (meta_len,) = struct.unpack_from("<I", blob, 7)
+    meta = json.loads(blob[11:11 + meta_len])
+    meta.update(changes)
+    new = json.dumps(meta, sort_keys=True).encode()
+    return blob[:7] + struct.pack("<I", len(new)) + new + blob[11 + meta_len:]
+
+
+@pytest.mark.parametrize("indices", [[1, 1], [0, -1], [0, 103]])
+def test_bad_selected_indices_are_integrity_errors(rng, indices):
+    for m in all_kinds(rng):
+        blob = with_header(serialize(m), selected_indices=indices + [2, 3, 4])
+        with pytest.raises(ModelIntegrityError):
+            deserialize(blob)
+
+
+def test_parameters_wider_than_the_selection_are_integrity_errors(rng):
+    # one selected index, but 5-wide training rows, support vectors or first layer
+    for m in all_kinds(rng)[:3]:
+        with pytest.raises(ModelIntegrityError, match="1 features"):
+            deserialize(with_header(serialize(m), selected_indices=[0]))
+
+
+def test_manifest_errors_are_format_errors(rng):
+    blob = serialize(random_knn(rng))
+    (meta_len,) = struct.unpack_from("<I", blob, 7)
+    arrays = json.loads(blob[11:11 + meta_len])["arrays"]
+    bad = [
+        [{k: v for k, v in arrays[0].items() if k != "dtype"}] + arrays[1:],
+        [{**arrays[0], "dtype": "<g8"}] + arrays[1:],
+        [{**arrays[0], "dtype": ","}] + arrays[1:],  # np.dtype raises SyntaxError
+        [{**arrays[0], "dtype": "|O"}] + arrays[1:],
+        [{**arrays[0], "shape": [-60, -5]}] + arrays[1:],
+        [{**arrays[0], "shape": [60.0, 5]}] + arrays[1:],
+    ]
+    for manifest in bad:
+        with pytest.raises(ModelFormatError, match="manifest|declares dtype"):
+            deserialize(with_header(blob, arrays=manifest))
+    no_manifest = json.dumps({"class_names": ["a"]}).encode()
+    with pytest.raises(ModelFormatError, match="manifest"):
+        deserialize(blob[:7] + struct.pack("<I", len(no_manifest)) + no_manifest)
+
+
+def test_fuzzed_blobs_raise_only_format_errors():
+    """Truncations and one-bit flips of one trained model per kind. NLMM has
+    no checksum, so a mutant that still decodes (a flipped weight bit) may
+    return a model; anything else must be a ModelFormatError."""
+    d = blob_dataset(n_classes=3, per_class=10, n_features=4, seed=1)
+    jobs = [("knn", {"k": 3}), ("svm", {"c": 1.0, "gamma": 0.5}),
+            ("mlp", {"hidden": (4,), "epochs": 2}), ("rf", {"n_trees": 3, "max_depth": 3})]
+    rng = np.random.default_rng(0)
+    for kind, params in jobs:
+        blob = serialize(train_model(kind, d, params))
+        for cut in rng.integers(0, len(blob), size=300):
+            with pytest.raises(ModelFormatError):
+                deserialize(blob[:cut])
+        for bit in rng.integers(0, 8 * len(blob), size=1500):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << int(bit % 8)
+            try:
+                deserialize(bytes(flipped))
+            except ModelFormatError:
+                pass

@@ -10,6 +10,7 @@ from helpers import (
     random_rf,
     random_svm,
     rf_oracle,
+    small_layout,
     svm_oracle,
 )
 from nilmedge.features import DEFAULT_LAYOUT
@@ -39,6 +40,79 @@ class TestScaler:
         with pytest.raises(ZeroVarianceError) as err:
             Scaler.fit(x)
         assert "1" in str(err.value)
+
+
+def _selecting(indices, layout=DEFAULT_LAYOUT):
+    """A one-row kNN model that reads `indices`; only its selection matters."""
+    return KnnModel(class_names=("a",), layout=layout, selected_indices=indices, scaler=None,
+                    k=1, train_x=np.zeros((1, len(indices))), train_y=np.zeros(1))
+
+
+class TestSelect:
+    """prepare_matrix reads a model's columns in order; the indices are
+    checked when the model is built."""
+
+    def test_identity_selection(self, rng):
+        x = rng.normal(size=10)
+        m = _selecting(tuple(range(10)))
+        np.testing.assert_array_equal(m.prepare_matrix(x[None, :])[0], x)
+
+    def test_single_index(self):
+        assert _selecting((0,)).prepare_matrix(np.array([[7.0, 1.0]])).tolist() == [[7.0]]
+
+    def test_matches_copy_oracle(self, rng):
+        x = rng.normal(size=30)
+        idx = tuple(rng.permutation(30)[:11])
+        got = _selecting(idx).prepare_matrix(x[None, :])[0]
+        for pos, k in enumerate(idx):
+            assert got[pos] == x[k]
+
+    def test_duplicate_index_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            _selecting((1, 1), small_layout(5))
+
+    def test_out_of_bounds_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            _selecting((5,), small_layout(5))
+
+    def test_negative_index_rejected(self):
+        # a numpy gather would silently read the last column for -1
+        with pytest.raises(ValueError, match="out of range"):
+            _selecting((0, -1), small_layout(5))
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            _selecting((0, 1.0), small_layout(5))
+
+    def test_indices_become_python_ints(self):
+        m = _selecting((np.int64(3), np.int32(1)), small_layout(5))
+        assert m.selected_indices == (3, 1)
+        assert all(type(i) is int for i in m.selected_indices)
+
+    def test_scaler_width_enforced(self):
+        with pytest.raises(ValueError, match="scaler"):
+            KnnModel(**{**_base(2, 2), "scaler": Scaler(np.zeros(3), np.ones(3))},
+                     k=1, train_x=np.zeros((2, 2)), train_y=np.array([0, 1]))
+
+
+class TestParameterWidth:
+    """Each kind's parameters must be as wide as its selection, or building
+    the model fails instead of its first prediction."""
+
+    def test_knn(self):
+        with pytest.raises(ValueError, match="1 features wide"):
+            KnnModel(**_base(2, 1), k=1, train_x=np.zeros((2, 2)), train_y=np.array([0, 1]))
+
+    def test_svm(self):
+        with pytest.raises(ValueError, match="1 features wide"):
+            SvmModel(**_base(2, 1), kernel="rbf", gamma=1.0,
+                     support=np.zeros((2, 2)), sv_counts=np.array([1, 1]),
+                     dual_coef=np.ones((1, 2)), intercepts=np.zeros(1))
+
+    def test_mlp(self):
+        with pytest.raises(ValueError, match="take 1 features"):
+            MlpModel(**_base(2, 1), weights=(np.zeros((3, 2)), np.zeros((2, 3))),
+                     biases=(np.zeros(3), np.zeros(2)))
 
 
 class TestKnn:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,20 @@ def test_non_finite_binary_sample_names_its_index(tmp_path, rng, value):
     save_samples(s, path, format="bin")
     with pytest.raises(SampleParseError, match="sample 73 "):
         load_samples(path)
+
+
+@pytest.mark.parametrize("rate", [0.0, -5.0, 1e30, 10000.5, np.nan, np.inf, 44100.0])
+def test_binary_header_rate_must_be_a_chain_rate(tmp_path, rate):
+    path = tmp_path / "rate.bin"
+    path.write_bytes(b"NILM1" + struct.pack("<Id", 2, rate) + np.zeros(4).tobytes())
+    with pytest.raises(SampleParseError, match="header rate"):
+        load_samples(path)
+
+
+@pytest.mark.parametrize("rate", [10_000, 20_000])
+def test_binary_header_chain_rates_load(tmp_path, rng, rate):
+    s = SampleStream(v=rng.normal(size=8), i=rng.normal(size=8), rate_hz=rate)
+    path = tmp_path / "ok.bin"
+    save_samples(s, path, format="bin")
+    out = load_samples(path)
+    assert out.rate_hz == rate and type(out.rate_hz) is int

@@ -6,6 +6,8 @@ import importlib.util
 from pathlib import Path
 
 import nilmedge.pipeline
+from helpers import blob_dataset
+from nilmedge.train import train_model
 
 SPANS_PATH = Path(__file__).parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +38,19 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(getattr(nilmedge.pipeline, k) is v for k, v in before.items())
+
+
+def test_traced_train_model_records_fit_spans():
+    # train_model must look the trainers up at call time, where the tracer
+    # rebinds them, or train.rf_fit and train.mlp_fit read 0
+    spans = load_spans()
+    d = blob_dataset(n_classes=2, per_class=10, n_features=3, seed=0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train_model("rf", d, {"n_trees": 2, "max_depth": 2})
+        train_model("mlp", d, {"hidden": (4,), "epochs": 1})
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("train.rf_fit") == 1 and names.count("train.mlp_fit") == 1
