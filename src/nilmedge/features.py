@@ -15,13 +15,24 @@ frame is part of the feature definition, not an artifact to be corrected.
 A layout may drop the time-domain triple, restrict the harmonic orders, or
 report magnitudes instead of (re, im) pairs; the default reproduces the
 103-entry vector above.
+
+The arithmetic works on blocks of windows. `extract_feature_matrix` maps
+(n, 1000) voltage and current rows to (n, len(layout)) features: one
+batched radix-2 FFT, then one fancy index into the cached bin list of the
+layout. `extract_features` is its one-row call, and `extract_blocks` feeds a
+window stream through it EXTRACT_BLOCK windows at a time. A row comes out
+bit for bit the same in any block: the butterflies are elementwise, P, |S|
+and Q keep one np.dot per row, and magnitudes are np.hypot of the real and
+imaginary parts, which equals abs() of one complex scalar where np.abs of a
+complex array can differ in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +41,10 @@ from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleWindow
 FFT_SIZE = 1024
 HARMONIC_SCALE = 2.0 / WINDOW_SAMPLES
 DEFAULT_HARMONIC_ORDERS = tuple(range(1, 100, 2))  # 1, 3, ..., 99
+# windows per extract_feature_matrix call on a stream: host time per window
+# fell from about 225 us one at a time to about 60 us at 16-32 and rose
+# again at 64, where the complex working set no longer stays in cache
+EXTRACT_BLOCK = 32
 
 
 # --- radix-2 FFT -------------------------------------------------------------
@@ -50,25 +65,35 @@ def _twiddles(m: int) -> np.ndarray:
 
 
 def fft_radix2(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time transform of a power-of-two input.
+    """Iterative radix-2 decimation-in-time transform along the last axis.
 
-    Returns the full two-sided complex spectrum (same length as the input).
+    The last axis must have a power-of-two length; leading axes, if any, are
+    a batch of independent rows. Returns the full two-sided complex spectrum
+    of every row, in the input's shape. Each butterfly stage reads one
+    buffer and writes the other; every operation is elementwise, so a row
+    comes out bit for bit the same whatever it is batched with.
     """
     a = np.asarray(x, dtype=np.complex128)
-    n = a.size
+    if a.ndim == 0:
+        raise ValueError("input must have at least one axis, got a 0-d array")
+    shape = a.shape
+    n = shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"input length must be a power of two, got {n}")
-    a = a[_bit_reversal(n)]
+    a = a.reshape(-1, n)[:, _bit_reversal(n)]
+    b = np.empty_like(a)
     m = 2
     while m <= n:
         half = m // 2
-        w = _twiddles(m)
-        blocks = a.reshape(-1, m)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * w
-        a = np.concatenate([even + odd, even - odd], axis=1).reshape(-1)
+        src = a.reshape(len(a), n // m, m)
+        dst = b.reshape(len(a), n // m, m)
+        even = src[..., :half]
+        odd = src[..., half:] * _twiddles(m)
+        np.add(even, odd, out=dst[..., :half])
+        np.subtract(even, odd, out=dst[..., half:])
+        a, b = b, a
         m *= 2
-    return a
+    return a.reshape(shape)
 
 
 def dft_direct(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -96,15 +121,19 @@ class Spectrum:
             raise ValueError(f"one-sided spectrum has {FFT_SIZE // 2 + 1} bins, got {self.bins.size}")
 
 
+def _padded_fft(current: np.ndarray) -> np.ndarray:
+    """Two-sided 1024-point spectra of (n, 1000) current rows, zero-padded."""
+    padded = np.zeros((len(current), FFT_SIZE))
+    padded[:, :WINDOW_SAMPLES] = current
+    return fft_radix2(padded)
+
+
 def fft_1024(current: Sequence[float] | np.ndarray) -> Spectrum:
     """Zero-pad the 1000-sample current window to 1024 and transform it."""
     current = np.asarray(current, dtype=np.float64)
     if current.size != WINDOW_SAMPLES:
         raise ValueError(f"expected exactly {WINDOW_SAMPLES} samples, got {current.size}")
-    padded = np.zeros(FFT_SIZE)
-    padded[:WINDOW_SAMPLES] = current
-    full = fft_radix2(padded)
-    return Spectrum(bins=full[: FFT_SIZE // 2 + 1])
+    return Spectrum(bins=_padded_fft(current.reshape(1, WINDOW_SAMPLES))[0, : FFT_SIZE // 2 + 1])
 
 
 # --- layouts -----------------------------------------------------------------
@@ -207,62 +236,111 @@ class FeatureVector:
 
 # --- feature computations ----------------------------------------------------
 
+def _powers(v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """(n, 3) rows of [P, |S|, Q] for (n, 1000) sample rows.
+
+    Each product is one np.dot per row, the summation the scalar
+    definitions have always used; the rest is elementwise."""
+    dots = np.array([(np.dot(a, b), np.dot(a, a), np.dot(b, b)) for a, b in zip(v, i)])
+    dots = dots.reshape(len(v), 3) / WINDOW_SAMPLES
+    p = dots[:, 0]
+    s = np.sqrt(dots[:, 1]) * np.sqrt(dots[:, 2])
+    return np.column_stack([p, s, _reactive(p, s)])
+
+
+def _reactive(p, s_abs):
+    # fmax, like max(0.0, x), maps NaN (inf - inf) to 0 where np.maximum
+    # would keep it; Python floats overflow silently, and so does this
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.fmax(0.0, s_abs * s_abs - p * p))
+
+
 def real_power(w: SampleWindow) -> float:
     """Average instantaneous power over the window: mean of v[k]*i[k], in W."""
-    return float(np.dot(w.v, w.i) / WINDOW_SAMPLES)
+    return float(_powers(w.v[None], w.i[None])[0, 0])
 
 
 def apparent_power(w: SampleWindow) -> float:
     """|S| = V_rms * I_rms over the window, in VA."""
-    v_rms = np.sqrt(np.dot(w.v, w.v) / WINDOW_SAMPLES)
-    i_rms = np.sqrt(np.dot(w.i, w.i) / WINDOW_SAMPLES)
-    return float(v_rms * i_rms)
+    return float(_powers(w.v[None], w.i[None])[0, 1])
 
 
 def reactive_power(p: float, s_abs: float) -> float:
     """Q = sqrt(|S|^2 - P^2), clamped at 0 when rounding pushes |P| past |S|."""
-    return float(np.sqrt(max(0.0, s_abs * s_abs - p * p)))
+    return float(_reactive(p, s_abs))
+
+
+@lru_cache(maxsize=None)
+def _harmonic_bins(layout: FeatureLayout) -> np.ndarray:
+    bins = np.array([layout.harmonic_bin(k) for k in layout.harmonic_orders], dtype=np.intp)
+    bins.flags.writeable = False
+    return bins
+
+
+def _pick_harmonics(spectra: np.ndarray, layout: FeatureLayout) -> np.ndarray:
+    """Harmonic columns per the layout from rows of FFT bins, scaled by 2/1000.
+
+    Magnitudes are np.hypot of the parts: np.abs of a complex array may
+    differ in the last bit from abs() of one complex scalar, hypot does not."""
+    c = spectra[:, _harmonic_bins(layout)] * HARMONIC_SCALE
+    if not layout.complex_pairs:
+        return np.hypot(c.real, c.imag)
+    out = np.empty((len(c), 2 * c.shape[1]))
+    out[:, 0::2] = c.real
+    out[:, 1::2] = c.imag
+    return out
 
 
 def extract_harmonics(spec: Spectrum, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
     """Harmonic components per the layout, scaled by 2/1000."""
-    out = np.empty(len(layout.harmonic_orders) * (2 if layout.complex_pairs else 1))
-    pos = 0
-    for order in layout.harmonic_orders:
-        c = spec.bins[layout.harmonic_bin(order)] * HARMONIC_SCALE
-        if layout.complex_pairs:
-            out[pos] = c.real
-            out[pos + 1] = c.imag
-            pos += 2
-        else:
-            out[pos] = abs(c)
-            pos += 1
+    return _pick_harmonics(spec.bins[None], layout)[0]
+
+
+def extract_feature_matrix(v, i, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
+    """Feature rows of a block of windows: (n, 1000) voltage and current
+    samples in, (n, len(layout)) features out, in layout order.
+
+    This is the only feature arithmetic; a row does not depend on the other
+    rows of its block."""
+    v = np.asarray(v, dtype=np.float64)
+    i = np.asarray(i, dtype=np.float64)
+    if v.ndim != 2 or v.shape != i.shape or v.shape[1] != WINDOW_SAMPLES:
+        raise ValueError(
+            f"expected two (n, {WINDOW_SAMPLES}) sample blocks, got {v.shape} and {i.shape}"
+        )
+    out = np.empty((len(v), len(layout)))
+    if layout.time_domain:
+        out[:, :3] = _powers(v, i)
+    if layout.harmonic_orders:
+        out[:, 3 if layout.time_domain else 0:] = _pick_harmonics(_padded_fft(i), layout)
     return out
 
 
 def extract_features(w: SampleWindow, layout: FeatureLayout = DEFAULT_LAYOUT) -> FeatureVector:
     """Assemble the per-window feature vector in layout order."""
-    parts: list[np.ndarray] = []
-    if layout.time_domain:
-        p = real_power(w)
-        s = apparent_power(w)
-        parts.append(np.array([p, s, reactive_power(p, s)]))
-    if layout.harmonic_orders:
-        parts.append(extract_harmonics(fft_1024(w.i), layout))
-    return FeatureVector(values=np.concatenate(parts), layout=layout, window_index=w.index)
+    values = extract_feature_matrix(w.v[None], w.i[None], layout)[0]
+    return FeatureVector(values=values, layout=layout, window_index=w.index)
+
+
+def extract_blocks(
+    windows: Iterable[SampleWindow], layout: FeatureLayout = DEFAULT_LAYOUT
+) -> Iterator[tuple[SampleWindow, np.ndarray]]:
+    """(window, feature row) for each window in order, extracted
+    EXTRACT_BLOCK windows per extract_feature_matrix call."""
+    windows = iter(windows)
+    while block := list(islice(windows, EXTRACT_BLOCK)):
+        rows = extract_feature_matrix(
+            np.stack([w.v for w in block]), np.stack([w.i for w in block]), layout
+        )
+        yield from zip(block, rows)
 
 
 def feature_matrix(windows: Iterable[SampleWindow], layout: FeatureLayout = DEFAULT_LAYOUT):
-    """Stack extract_features over windows; returns (matrix, window indices)."""
-    rows = []
-    idx = []
-    for w in windows:
-        fv = extract_features(w, layout)
-        rows.append(fv.values)
-        idx.append(fv.window_index)
-    if not rows:
+    """Feature rows of the windows, in order; returns (matrix, window indices)."""
+    pairs = list(extract_blocks(windows, layout))
+    if not pairs:
         return np.empty((0, len(layout))), []
-    return np.vstack(rows), idx
+    return np.vstack([row for _, row in pairs]), [w.index for w, _ in pairs]
 
 
 def write_features_csv(path, matrix: np.ndarray, window_indices: Sequence[int],

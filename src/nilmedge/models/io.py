@@ -264,21 +264,35 @@ def to_json(model: BaseModel) -> str:
 
 
 def from_json(text: str) -> BaseModel:
-    doc = json.loads(text)
-    if doc.get("format") != "nilmedge-model-json":
+    """Decode the JSON twin; as with deserialize, a malformed document raises
+    only ModelFormatError subclasses."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ModelFormatError(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "nilmedge-model-json":
         raise ModelFormatError("not a model JSON document")
     if doc.get("version") != FORMAT_VERSION:
         raise ModelVersionError(f"unsupported model format version {doc.get('version')}")
-    meta = doc["meta"]
+    kind, meta, payload = doc.get("kind"), doc.get("meta"), doc.get("arrays")
+    if kind not in KIND_CODES or not isinstance(meta, dict) or not isinstance(payload, dict):
+        raise ModelFormatError("a model JSON document needs a known 'kind', 'meta' and 'arrays'")
     arrays: dict[str, np.ndarray] = {}
     for name, dtype, shape in _manifest(meta):
-        flat = doc["arrays"][name]
-        if dtype.kind == "f":
-            values = np.array([float.fromhex(v) for v in flat], dtype=dtype)
-        else:
-            values = np.array(flat, dtype=dtype)
-        arrays[name] = values.reshape(shape)
+        flat = payload.get(name)
+        if not isinstance(flat, list) or len(flat) != math.prod(shape):
+            raise ModelIntegrityError(f"array {name!r} does not hold the values of shape {shape}")
+        try:
+            if dtype.kind == "f":
+                values = [float.fromhex(v) for v in flat]
+            elif all(type(v) is int for v in flat):
+                values = flat
+            else:
+                raise TypeError(f"integer array {name!r} holds a non-integer")
+            arrays[name] = np.array(values, dtype=dtype).reshape(shape)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelIntegrityError(str(exc)) from None
     try:
-        return _rebuild(doc["kind"], meta, arrays)
+        return _rebuild(kind, meta, arrays)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelIntegrityError(str(exc)) from None

@@ -2,14 +2,19 @@
 running the online window -> features -> event -> classify loop.
 
 One in-order event core serves both the offline differential-vector
-dataset and the online classifier. Per window it extracts the feature
-vector, steps the real-power track through threshold detection, and keeps
-the last 41 vectors in a ring. An event detected at window j resolves at
-window j+20: the +-20-window guard decides it and, if it is valid, the
-differential vector is taken from the ring. Events still open at end of
-stream come out unresolved. Single-appliance mode labels the window where
-the power threshold crossing is observed; multi-appliance mode labels
-resolved events and reports the rest as invalid or pending.
+dataset and the online classifier. It pulls windows from the stream in
+blocks of features.EXTRACT_BLOCK (32, 3.2 s of signal) and extracts each
+block with one extract_feature_matrix call; from there it goes on one
+window at a time: it steps the real-power track through threshold
+detection and keeps the last 41 vectors in a ring. An event detected at
+window j resolves at window j+20: the +-20-window guard decides it and, if
+it is valid, the differential vector is taken from the ring. Events still
+open at end of stream come out unresolved. Single-appliance mode labels
+the window where the power threshold crossing is observed;
+multi-appliance mode labels resolved events and reports the rest as
+invalid or pending. Blocks change when a result is ready, up to 31
+windows later, never what it is: a window's features do not depend on its
+block. window_dataset extracts its steady windows in the same blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +38,13 @@ from .events import (
     detect_event,
     event_guard,
 )
-from .features import DEFAULT_LAYOUT, FeatureLayout, extract_features, real_power
+from .features import (
+    DEFAULT_LAYOUT,
+    FeatureLayout,
+    extract_blocks,
+    extract_features,  # noqa: F401 - perfbench/spans.py wraps it at this name
+    real_power,
+)
 from .models.base import BaseModel, classify_matrix
 from .signals import SampleStream, window_stream
 from .synth import LabelTrack
@@ -55,8 +66,7 @@ def _event_core(
     recent: deque[SwitchEvent] = deque()  # events the guard may still need
     open_events: deque[SwitchEvent] = deque()
     prev_p: float | None = None
-    for w in window_stream(stream):
-        values = extract_features(w, layout).values
+    for w, values in extract_blocks(window_stream(stream), layout):
         buffer.push(w.index, values)
         # detection always runs on real power, even for layouts without it
         p = float(values[0]) if layout.time_domain else real_power(w)
@@ -97,15 +107,13 @@ def window_dataset(
         seen = sorted({app for s in track.active for app in s})
         class_names = tuple(seen)
     index_of = {name: k for k, name in enumerate(class_names)}
+    steady = (w for w in window_stream(stream)
+              if w.index < len(track) and w.index not in track.toggles
+              and len(track.active[w.index]) == 1)
     rows, labels = [], []
-    for w in window_stream(stream):
-        if w.index >= len(track) or w.index in track.toggles:
-            continue
-        on = track.active[w.index]
-        if len(on) != 1:
-            continue
-        (app,) = on
-        rows.append(extract_features(w, layout).values)
+    for w, values in extract_blocks(steady, layout):
+        (app,) = track.active[w.index]
+        rows.append(values)
         labels.append(index_of[app])
     return _dataset(rows, labels, class_names, layout, provenance,
                     "steady single-appliance windows")

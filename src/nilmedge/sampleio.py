@@ -9,7 +9,9 @@ and count pairs of f64 (v, i).
 
 Both loaders reject NaN and infinite samples: CSV names the line, binary the
 sample index. The binary header's rate must be one the signal chain takes:
-the 10 kHz window rate or the 20 kHz acquisition rate.
+the 10 kHz window rate or the 20 kHz acquisition rate. Every malformed file
+raises SampleParseError; in a CSV, bytes that are not UTF-8 are reported as
+a bad cell or header of their line.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ def _load_csv(path: Path) -> SampleStream:
     v: list[float] = []
     i: list[float] = []
     rate = SAMPLE_RATE_HZ
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, so they fail the
+    # header or the cell parse of their own line instead of the file read
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         if header.strip() != "t_s,v,i":
             raise SampleParseError(f"expected header 't_s,v,i', got {header.strip()!r}", line_no=1)

@@ -18,6 +18,7 @@ reproduces exactly its contribution to the aggregate.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -287,6 +288,17 @@ class ScriptParseError(ScenarioError):
         self.line_no = line_no
 
 
+def _number(text: str, what: str, line_no: int) -> float:
+    """A finite float; NaN or infinity would pass the range checks unseen."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ScriptParseError(line_no, f"{what} must be numeric, got {text!r}") from None
+    if not math.isfinite(x):
+        raise ScriptParseError(line_no, f"{what} must be finite, got {text!r}")
+    return x
+
+
 def _parse_harmonics(text: str, line_no: int) -> dict[int, float]:
     profile: dict[int, float] = {}
     for part in text.split(","):
@@ -309,27 +321,28 @@ def _parse_appliance(body: str, line_no: int) -> tuple[str, ApplianceModel]:
             raise ScriptParseError(line_no, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
         fields[key] = value
+    numbers = {key: _number(fields.get(key, "0"), key, line_no)
+               for key in ("power_w", "phase_rad", "cut_angle_rad", "noise_rms_a")}
+    profile = _parse_harmonics(fields["harmonics"], line_no) if "harmonics" in fields else {1: 1.0}
     try:
         model = ApplianceModel(
             kind=fields.get("kind", "resistive"),
-            nominal_power_w=float(fields.get("power_w", "0")),
-            phase_rad=float(fields.get("phase_rad", "0")),
-            harmonic_profile=(
-                _parse_harmonics(fields["harmonics"], line_no)
-                if "harmonics" in fields else {1: 1.0}
-            ),
-            cut_angle_rad=float(fields.get("cut_angle_rad", "0")),
-            noise_rms_a=float(fields.get("noise_rms_a", "0")),
+            nominal_power_w=numbers["power_w"],
+            phase_rad=numbers["phase_rad"],
+            harmonic_profile=profile,
+            cut_angle_rad=numbers["cut_angle_rad"],
+            noise_rms_a=numbers["noise_rms_a"],
         )
-    except ScriptParseError:
-        raise
     except ValueError as exc:
         raise ScriptParseError(line_no, str(exc)) from None
     return app_id, model
 
 
 def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, ApplianceModel]]:
-    """Parse the version-1 script format; errors carry the offending line number."""
+    """Parse the version-1 script format; errors carry the offending line number.
+
+    Every malformed script raises ScriptParseError, including numbers that
+    are NaN or infinite."""
     header: dict[str, float] = {}
     registry: dict[str, ApplianceModel] = {}
     events: list[ScenarioEvent] = []
@@ -347,10 +360,7 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
                 raise ScriptParseError(line_no, f"unsupported script version {body!r}")
             version_seen = True
         elif key in ("duration_s", "mains_amplitude_v", "mains_freq_hz", "noise_rms_a"):
-            try:
-                header[key] = float(body)
-            except ValueError:
-                raise ScriptParseError(line_no, f"{key} must be numeric, got {body!r}") from None
+            header[key] = _number(body, key, line_no)
         elif key == "appliance":
             app_id, model = _parse_appliance(body, line_no)
             registry[app_id] = model
@@ -358,10 +368,7 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
             parts = body.split()
             if len(parts) != 3:
                 raise ScriptParseError(line_no, "event lines read 'event: <time_s> <id> <on|off>'")
-            try:
-                time_s = float(parts[0])
-            except ValueError:
-                raise ScriptParseError(line_no, f"event time must be numeric, got {parts[0]!r}") from None
+            time_s = _number(parts[0], "event time", line_no)
             try:
                 events.append(ScenarioEvent(time_s=time_s, appliance_id=parts[1], action=parts[2]))
             except ScenarioError as exc:

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from nilmedge.events import detect_event, event_guard
-from nilmedge.features import DEFAULT_LAYOUT, FeatureLayout, extract_features
+from nilmedge.features import DEFAULT_LAYOUT, EXTRACT_BLOCK, TIME_ONLY_LAYOUT, FeatureLayout
+from nilmedge.models.base import classify_matrix
 from nilmedge.models.forest import RfModel, TreeNodes
 from nilmedge.models.knn import KnnModel
 from nilmedge.models.mlp import MlpModel
@@ -258,15 +259,78 @@ def apparent_power_oracle(v, i) -> float:
     return math.sqrt(sv) * math.sqrt(si)
 
 
-# --- whole-stream differential-vector oracle ---------------------------------------
+# --- per-window feature oracle ---------------------------------------------------
+
+# stream lengths, in windows, on both sides of the extraction block edges
+BLOCK_EDGE_WINDOWS = [0, 1, EXTRACT_BLOCK - 1, EXTRACT_BLOCK, EXTRACT_BLOCK + 1, 2 * EXTRACT_BLOCK + 1]
+
+
+def fft_oracle(x) -> np.ndarray:
+    """Radix-2 transform of one 1-D input, each stage concatenating the sums
+    and differences of its butterflies into a new array."""
+    a = np.asarray(x, dtype=np.complex128)
+    n = a.size
+    bits = n.bit_length() - 1
+    a = a[[int(format(k, f"0{bits}b")[::-1], 2) for k in range(n)]]
+    m = 2
+    while m <= n:
+        half = m // 2
+        w = np.exp(-2j * np.pi * np.arange(half) / m)
+        blocks = a.reshape(-1, m)
+        even = blocks[:, :half]
+        odd = blocks[:, half:] * w
+        a = np.concatenate([even + odd, even - odd], axis=1).reshape(-1)
+        m *= 2
+    return a
+
+
+def features_oracle(v, i, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
+    """One window's feature vector the way it is defined, one scalar at a
+    time: a dot product per power term, the zero-padded 1024-point
+    transform, and per harmonic order the nearest bin times 2/1000, split
+    into (re, im) or taken as abs() of the complex scalar."""
+    out = []
+    if layout.time_domain:
+        p = float(np.dot(v, i) / 1000)
+        s = float(np.sqrt(np.dot(v, v) / 1000) * np.sqrt(np.dot(i, i) / 1000))
+        out += [p, s, float(np.sqrt(max(0.0, s * s - p * p)))]
+    if layout.harmonic_orders:
+        spectrum = fft_oracle(np.concatenate([i, np.zeros(24)]))
+        for k in layout.harmonic_orders:
+            c = spectrum[int(np.floor(50.0 * k * 1024 / 10000 + 0.5))] * (2.0 / 1000)
+            out += [c.real, c.imag] if layout.complex_pairs else [abs(c)]
+    return np.array(out)
+
+
+def stream_features_oracle(stream, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
+    """(windows, len(layout)) features of a stream, one window at a time."""
+    rows = [features_oracle(w.v, w.i, layout) for w in window_stream(stream)]
+    return np.array(rows).reshape(len(rows), len(layout))
+
+
+def assert_same_bits(a, b) -> None:
+    """Equal values, NaN where the other has NaN, and equal signs on zeros
+    and NaNs too (the CSV writer prints -0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# --- whole-stream event oracles -------------------------------------------------------
+
+def events_oracle(stream) -> list:
+    """Every event of the stream's real-power track, from the feature oracle."""
+    p = stream_features_oracle(stream, TIME_ONLY_LAYOUT)[:, 0]
+    return [ev for j in range(1, len(p)) if (ev := detect_event(p[j - 1], p[j], window_index=j))]
+
 
 def delta_oracle(stream, layout=DEFAULT_LAYOUT) -> dict[int, tuple[bool, np.ndarray | None]]:
     """(guard verdict, differential vector or None) of every event whose
     window j+20 exists, keyed by event window, from the whole stream held in
     memory. The vector is None for rejected events and for j < 20."""
-    feats = np.array([extract_features(w, layout).values for w in window_stream(stream)])
-    p = feats[:, 0]
-    events = [ev for j in range(1, len(p)) if (ev := detect_event(p[j - 1], p[j], window_index=j))]
+    feats = stream_features_oracle(stream, layout)
+    events = events_oracle(stream)
     out = {}
     for ev, ok in zip(events, event_guard(events)):
         j = ev.window_index
@@ -277,4 +341,27 @@ def delta_oracle(stream, layout=DEFAULT_LAYOUT) -> dict[int, tuple[bool, np.ndar
             delta = (feats[j - 20] + feats[j - 10] + feats[j - 1]) / 3.0 \
                 - (feats[j + 1] + feats[j + 10] + feats[j + 20]) / 3.0
         out[j] = (ok, delta)
+    return out
+
+
+def classify_stream_oracle(stream, model, mode: str) -> list[tuple]:
+    """(window, delta_p_w, direction, valid, status, label) per event, in
+    window order: single mode labels each event from its own window's
+    features; multi mode labels valid resolved events from their
+    differential vector and reports the rest as invalid or pending."""
+    def label(x):
+        return model.class_names[classify_matrix(model, x[None, :])[0]]
+
+    feats = stream_features_oracle(stream, model.layout)
+    resolved = delta_oracle(stream, model.layout)
+    out = []
+    for ev in events_oracle(stream):
+        j = ev.window_index
+        if mode == "single":
+            valid, status, name = True, "labeled", label(feats[j])
+        else:
+            valid, delta = resolved.get(j, (True, None))
+            status = "invalid" if not valid else "pending" if delta is None else "labeled"
+            name = label(delta) if status == "labeled" else None
+        out.append((j, ev.delta_p_w, ev.direction, valid, status, name))
     return out

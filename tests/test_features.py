@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import apparent_power_oracle, real_power_oracle
+from helpers import (
+    BLOCK_EDGE_WINDOWS,
+    apparent_power_oracle,
+    assert_same_bits,
+    features_oracle,
+    fft_oracle,
+    real_power_oracle,
+    stream_features_oracle,
+)
 from nilmedge.features import (
     DEFAULT_LAYOUT,
     FREQUENCY_ONLY_LAYOUT,
@@ -11,6 +19,7 @@ from nilmedge.features import (
     Spectrum,
     apparent_power,
     dft_direct,
+    extract_feature_matrix,
     extract_features,
     extract_harmonics,
     fft_1024,
@@ -20,7 +29,7 @@ from nilmedge.features import (
     reactive_power,
     write_features_csv,
 )
-from nilmedge.signals import SampleWindow
+from nilmedge.signals import SampleStream, SampleWindow, window_stream
 
 FS = 10000
 
@@ -259,3 +268,86 @@ def test_feature_csv_export(tmp_path, rng):
     assert len(lines) == 3
     row = [float(c) for c in lines[1].split(",")]
     np.testing.assert_allclose(row[1:], matrix[0], rtol=0)
+
+
+class TestBatchedFft:
+    def test_zero_d_input_rejected(self):
+        with pytest.raises(ValueError, match="0-d"):
+            fft_radix2(np.float64(1.0))
+
+    def test_bad_last_axis_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            fft_radix2(np.zeros((4, 1000)))
+        with pytest.raises(ValueError, match="power of two"):
+            fft_radix2(np.zeros((4, 0)))
+
+    @pytest.mark.parametrize("batch", [1, 7, 32, 33])
+    def test_batch_equals_single_calls(self, rng, batch):
+        x = np.zeros((batch, 1024))
+        x[:, :1000] = rng.normal(size=(batch, 1000))
+        got = fft_radix2(x)
+        assert got.shape == (batch, 1024)
+        for row, spectrum in zip(x, got):
+            assert np.array_equal(spectrum, fft_radix2(row))
+            assert np.array_equal(spectrum, fft_oracle(row))
+
+    def test_leading_axes_kept(self, rng):
+        x = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
+        got = fft_radix2(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got[1, 2], fft_radix2(x[1, 2]))
+
+
+def block_windows(rng):
+    """Random, all-zero (both signs), pure 50 Hz, current-free and
+    non-finite windows."""
+    t = np.arange(1000) / FS
+    pairs = [(rng.normal(size=1000), rng.normal(size=1000)) for _ in range(12)]
+    pairs += [(np.zeros(1000), np.zeros(1000)), (-np.zeros(1000), -np.zeros(1000)),
+              (325 * np.sin(2 * np.pi * 50 * t), 2 * np.sin(2 * np.pi * 50 * t)),
+              (325 * np.sin(2 * np.pi * 50 * t), np.zeros(1000))]
+    v, i = np.array([v for v, _ in pairs]), np.array([i for _, i in pairs])
+    v[0, 500], i[1, 10], i[2, :3] = np.nan, np.inf, -np.inf
+    return v, i
+
+
+BLOCK_LAYOUTS = {
+    "default": DEFAULT_LAYOUT,
+    "time_only": TIME_ONLY_LAYOUT,
+    "frequency_only": FREQUENCY_ONLY_LAYOUT,
+    "magnitude": FeatureLayout(complex_pairs=False),
+    "sparse_magnitude": FeatureLayout(harmonic_orders=(1, 7, 33, 99), complex_pairs=False),
+}
+
+
+class TestBlockExtract:
+    @pytest.mark.parametrize("name", sorted(BLOCK_LAYOUTS))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the non-finite windows
+    def test_rows_equal_extract_features_and_oracle(self, rng, name):
+        layout = BLOCK_LAYOUTS[name]
+        v, i = block_windows(rng)
+        block = extract_feature_matrix(v, i, layout)
+        assert block.shape == (len(v), len(layout))
+        for r in range(len(v)):
+            assert_same_bits(block[r], extract_features(window(v[r], i[r]), layout).values)
+            assert_same_bits(block[r], features_oracle(v[r], i[r], layout))
+
+    def test_empty_block(self):
+        assert extract_feature_matrix(np.empty((0, 1000)), np.empty((0, 1000))).shape == (0, 103)
+
+    @pytest.mark.parametrize("shapes", [((1000,), (1000,)), ((2, 1000), (3, 1000)),
+                                        ((2, 999), (2, 999))])
+    def test_bad_block_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match="sample blocks"):
+            extract_feature_matrix(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+
+@pytest.mark.parametrize("n_windows", BLOCK_EDGE_WINDOWS)
+@pytest.mark.parametrize("name", ["default", "sparse_magnitude"])
+def test_feature_matrix_over_block_boundaries(rng, n_windows, name):
+    layout = BLOCK_LAYOUTS[name]
+    samples = 1000 * n_windows + 500  # a trailing partial window is dropped
+    stream = SampleStream(v=rng.normal(size=samples), i=rng.normal(size=samples))
+    matrix, idx = feature_matrix(window_stream(stream), layout)
+    assert idx == list(range(n_windows))
+    assert_same_bits(matrix, stream_features_oracle(stream, layout))

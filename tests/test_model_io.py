@@ -174,3 +174,66 @@ def test_fuzzed_blobs_raise_only_format_errors():
                 deserialize(bytes(flipped))
             except ModelFormatError:
                 pass
+
+
+FUZZ_JOBS = [("knn", {"k": 3}), ("svm", {"c": 1.0, "gamma": 0.5}),
+             ("mlp", {"hidden": (4,), "epochs": 2}), ("rf", {"n_trees": 3, "max_depth": 3})]
+
+
+def json_doc(kind="knn") -> dict:
+    d = blob_dataset(n_classes=3, per_class=10, n_features=4, seed=1)
+    return json.loads(to_json(train_model(kind, d, dict(FUZZ_JOBS)[kind])))
+
+
+def first_real_array(doc: dict) -> str:
+    return next(e["name"] for e in doc["meta"]["arrays"] if e["dtype"].endswith("f8"))
+
+
+@pytest.mark.parametrize("case", [
+    "not json", "top-level list", "no meta", "no arrays", "no kind", "unknown kind",
+    "meta not an object", "non-hex real", "real not a string", "float in integer array",
+    "array missing", "array too short", "nested array",
+])
+def test_json_malformed_documents_raise_format_errors(case):
+    doc = json_doc("rf")
+    real = first_real_array(doc)
+    edits = {
+        "no meta": lambda: doc.pop("meta"),
+        "no arrays": lambda: doc.pop("arrays"),
+        "no kind": lambda: doc.pop("kind"),
+        "unknown kind": lambda: doc.update(kind="tree"),
+        "meta not an object": lambda: doc.update(meta=[1, 2]),
+        "non-hex real": lambda: doc["arrays"][real].__setitem__(0, "0x1.zzp+3"),
+        "real not a string": lambda: doc["arrays"][real].__setitem__(0, 1.5),
+        "float in integer array": lambda: doc["arrays"]["tree0_left"].__setitem__(0, 1.5),
+        "array missing": lambda: doc["arrays"].pop(real),
+        "array too short": lambda: doc["arrays"][real].pop(),
+        "nested array": lambda: doc["arrays"][real].__setitem__(0, ["0x1.0p+0"]),
+    }
+    if case == "not json":
+        text = to_json(random_knn(np.random.default_rng(0)))[:-3] + "]]"
+    elif case == "top-level list":
+        text = json.dumps([doc])
+    else:
+        edits[case]()
+        text = json.dumps(doc)
+    with pytest.raises(ModelFormatError):
+        from_json(text)
+
+
+def test_fuzzed_json_raises_only_format_errors():
+    """Truncations and one-character flips (one bit of the ASCII code) of
+    the JSON twin of one trained model per kind; as for the binary form, a
+    mutant that still decodes may return a model."""
+    rng = np.random.default_rng(0)
+    for kind, _ in FUZZ_JOBS:
+        text = json.dumps(json_doc(kind), sort_keys=True, indent=1)
+        for cut in rng.integers(0, len(text), size=200):
+            with pytest.raises(ModelFormatError):
+                from_json(text[:cut])
+        for pos, bit in zip(rng.integers(0, len(text), size=1000), rng.integers(0, 7, size=1000)):
+            flipped = text[:pos] + chr(ord(text[pos]) ^ (1 << int(bit))) + text[pos + 1:]
+            try:
+                from_json(flipped)
+            except ModelFormatError:
+                pass

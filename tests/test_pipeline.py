@@ -1,10 +1,23 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import delta_oracle
-from nilmedge.features import FREQUENCY_ONLY_LAYOUT
+from helpers import (
+    BLOCK_EDGE_WINDOWS,
+    assert_same_bits,
+    classify_stream_oracle,
+    delta_oracle,
+    stream_features_oracle,
+)
+from nilmedge.features import (
+    DEFAULT_LAYOUT,
+    FREQUENCY_ONLY_LAYOUT,
+    FeatureLayout,
+    feature_matrix,
+    write_features_csv,
+)
 from nilmedge.pipeline import (
     _event_core,
     _matching_toggle,
@@ -14,8 +27,9 @@ from nilmedge.pipeline import (
     write_stream_labels_csv,
 )
 from nilmedge.scenarios import MULTI5_REGISTRY, overlapping_script
+from nilmedge.signals import SampleStream, window_stream
 from nilmedge.synth import ApplianceModel, Mains, ScenarioEvent, ScenarioScript, synth_scenario
-from nilmedge.train import train_knn, train_rf
+from nilmedge.train import Dataset, train_knn, train_rf
 
 MAINS = Mains()
 
@@ -258,3 +272,137 @@ class TestClassifyStream:
         by_window = {s.window_index: s for s in classify_stream(stream, model, mode="multi")}
         assert by_window[10].status == "pending" and by_window[10].valid
         assert [s.status for s in by_window.values()].count("labeled") == 4
+
+
+# --- block extraction: outputs over block boundaries ---------------------------------
+
+NAMES = ("fan", "heater")
+
+
+def script_stream(times_actions, seed):
+    """A 70-window two-appliance stream; events start on window boundaries."""
+    events = tuple(ScenarioEvent(t, app, action) for t, app, action in times_actions)
+    script = ScenarioScript(mains=MAINS, events=events, duration_s=7.0, noise_rms_a=0.02)
+    return synth_scenario(script, TWO_APPS, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def dataset_run():
+    # heater on at 21 and off at 42 give two rows on 65 windows; 63 stays open
+    return script_stream([(2.1, "heater", "on"), (4.2, "heater", "off"),
+                          (6.3, "fan", "on"), (6.6, "fan", "off")], seed=11)
+
+
+@pytest.fixture(scope="module")
+def classify_run():
+    # on 65 windows: 1 pending (no look-back), 22 labeled, 43 invalid (50 is
+    # 7 windows later), 50 and 56 pending at end of stream
+    stream, _ = script_stream([(0.1, "heater", "on"), (2.2, "fan", "on"), (4.3, "fan", "off"),
+                               (5.0, "heater", "off"), (5.6, "fan", "on")], seed=12)
+    train_stream, train_track = synth_scenario(two_app_script(), TWO_APPS, seed=13)
+    models = {
+        "rf": train_rf(delta_dataset(train_stream, train_track, class_names=NAMES),
+                       n_trees=5, seed=0),
+        "knn_frequency_only": train_knn(delta_dataset(train_stream, train_track, class_names=NAMES,
+                                                      layout=FREQUENCY_ONLY_LAYOUT), k=1),
+    }
+    return stream, models
+
+
+def head(stream, n_windows):
+    """The first n_windows of a stream plus half a window more."""
+    end = 1000 * n_windows + 500
+    return SampleStream(v=stream.v[:end], i=stream.i[:end])
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError:
+        return "ValueError"
+
+
+def assert_same_dataset(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert isinstance(got, Dataset)
+    assert_same_bits(got.x, expected.x)
+    assert np.array_equal(got.y, expected.y)
+
+
+@pytest.mark.parametrize("n_windows", BLOCK_EDGE_WINDOWS)
+class TestBlockBoundaries:
+    def test_window_dataset(self, dataset_run, n_windows):
+        stream, track = head(dataset_run[0], n_windows), dataset_run[1]
+        feats = stream_features_oracle(stream)
+        steady = [j for j in range(len(feats))
+                  if j not in track.toggles and len(track.active[j]) == 1]
+
+        def expected():
+            y = [NAMES.index(next(iter(track.active[j]))) for j in steady]
+            return Dataset(x=feats[steady], y=y, class_names=NAMES)
+
+        got = outcome(lambda: window_dataset(stream, track, class_names=NAMES))
+        assert_same_dataset(got, outcome(expected))
+        assert n_windows < 31 or isinstance(got, Dataset)
+
+    def test_delta_dataset(self, dataset_run, n_windows):
+        stream, track = head(dataset_run[0], n_windows), dataset_run[1]
+        rows, labels = [], []
+        for j, (_, delta) in sorted(delta_oracle(stream).items()):
+            toggled = [track.toggles[k][0][0] for k in (j, j - 1, j + 1) if k in track.toggles]
+            if delta is not None and toggled:
+                rows.append(delta)
+                labels.append(NAMES.index(toggled[0]))
+        got = outcome(lambda: delta_dataset(stream, track, class_names=NAMES))
+        assert_same_dataset(got, outcome(lambda: Dataset(x=np.array(rows), y=labels,
+                                                         class_names=NAMES)))
+        assert n_windows < 65 or got.n == 2
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("model_name", ["rf", "knn_frequency_only"])
+    def test_classify_stream(self, classify_run, n_windows, mode, model_name):
+        stream, model = head(classify_run[0], n_windows), classify_run[1][model_name]
+        got = [(s.window_index, s.delta_p_w, s.direction, s.valid, s.status, s.label)
+               for s in classify_stream(stream, model, mode=mode)]
+        assert got == classify_stream_oracle(stream, model, mode)
+        if n_windows == 65 and mode == "multi":
+            assert [s[4] for s in got] == ["pending", "labeled", "invalid", "pending", "pending"]
+
+
+# --- golden outputs, hashed at the commit before block extraction ---------------------
+
+GOLDEN_OUTPUTS = {
+    "csv_default": "f5b910563ddd0530113f025079ed9af0542bf0dcc253f6912ac1ab10d0740e1b",
+    "csv_magnitude": "ad455864b5950a146d4987a7e801a90c957049696c585178c7ef67ab2265b072",
+    "delta_x": "0e0442ec1d2e8c2ad76bd1be325521f620d0039aacddc3a3f26ce4ea67bb76e6",
+    "labels_multi": "9dbb1ccbf839a4cfea474949fd44a76e1779293209c477a4143eaa827b251f6b",
+}
+
+
+def golden_multi5(seed):
+    """Two multi5 rounds, 3 s apart, with some events pulled into clashes."""
+    base = overlapping_script(MULTI5_REGISTRY, seed=seed, rounds=2, gap_s=3.0)
+    pull = {3: 1.0, 6: 0.9}
+    events = tuple(replace(e, time_s=round(e.time_s - pull.get(k % 8, 0.0), 1))
+                   for k, e in enumerate(base.events))
+    return synth_scenario(replace(base, events=events), MULTI5_REGISTRY, seed=seed)
+
+
+def test_outputs_match_golden_hashes(tmp_path):
+    names = tuple(sorted(MULTI5_REGISTRY))
+    stream, track = golden_multi5(0)
+    digests = {}
+    magnitude = FeatureLayout(harmonic_orders=(1, 3, 5, 11, 49, 99), complex_pairs=False)
+    for key, layout in (("csv_default", DEFAULT_LAYOUT), ("csv_magnitude", magnitude)):
+        matrix, idx = feature_matrix(window_stream(stream), layout)
+        write_features_csv(tmp_path / key, matrix, idx, layout)
+        digests[key] = hashlib.sha256((tmp_path / key).read_bytes()).hexdigest()
+    d = delta_dataset(stream, track, class_names=names)
+    digests["delta_x"] = hashlib.sha256(d.x.tobytes()).hexdigest()
+    labels = classify_stream(golden_multi5(1)[0], train_rf(d, n_trees=15, seed=3), mode="multi")
+    assert {s.status for s in labels} == {"labeled", "invalid"}
+    write_stream_labels_csv(tmp_path / "labels", labels)
+    digests["labels_multi"] = hashlib.sha256((tmp_path / "labels").read_bytes()).hexdigest()
+    assert digests == GOLDEN_OUTPUTS

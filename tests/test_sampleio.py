@@ -128,3 +128,34 @@ def test_binary_header_chain_rates_load(tmp_path, rng, rate):
     save_samples(s, path, format="bin")
     out = load_samples(path)
     assert out.rate_hz == rate and type(out.rate_hz) is int
+
+
+def test_non_utf8_csv_byte_names_its_line(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t_s,v,i\n0,1.0,2.0\n0.0001,1.\xb50,2.0\n")
+    with pytest.raises(SampleParseError) as err:
+        load_samples(path, format="csv")
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_fuzzed_sample_files_raise_only_parse_errors(tmp_path, fmt):
+    """Truncations and one-bit flips of a saved 50-sample stream, loaded both
+    with the format named and sniffed. A mutant that still parses (a flipped
+    digit or mantissa bit) may load; anything else is a SampleParseError."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / f"s.{fmt}"
+    save_samples(random_stream(rng, n=50), path, format=fmt)
+    blob = path.read_bytes()
+    mutants = [blob[:cut] for cut in rng.integers(0, len(blob), size=200)]
+    for bit in rng.integers(0, 8 * len(blob), size=1500):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << int(bit % 8)
+        mutants.append(bytes(flipped))
+    for mutant in mutants:
+        path.write_bytes(mutant)
+        for named in (fmt, None):
+            try:
+                load_samples(path, format=named)
+            except SampleParseError:
+                pass

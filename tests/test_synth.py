@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,39 @@ event: 7.0 fan off
     def test_unknown_key_rejected(self):
         with pytest.raises(ScriptParseError):
             parse_scenario_script("version: 1\nduration_s: 1\nfrobnicate: yes\n")
+
+
+class TestScriptFuzz:
+    SCRIPT = TestScriptFiles.SCRIPT + "appliance: dim kind=phase_cut power_w=40 cut_angle_rad=1.2\n"
+
+    @pytest.mark.parametrize("line, text", [
+        (2, "duration_s: nan"), (3, "mains_amplitude_v: inf"), (4, "mains_freq_hz: -inf"),
+        (5, "noise_rms_a: NaN"), (6, "appliance: fan kind=reactive power_w=inf"),
+        (7, "appliance: tv kind=rectifier power_w=80 phase_rad=nan"), (8, "event: nan fan on"),
+    ])
+    def test_non_finite_numbers_rejected(self, line, text):
+        lines = self.SCRIPT.splitlines()
+        lines[line - 1] = text
+        with pytest.raises(ScriptParseError, match="finite") as err:
+            parse_scenario_script("\n".join(lines))
+        assert err.value.line_no == line
+
+    def test_fuzzed_scripts_raise_only_parse_errors(self):
+        """Truncations, one-character flips (one bit of the ASCII code) and
+        numbers swapped for odd values; a mutant that still parses may
+        return a script, anything else must be a ScriptParseError."""
+        rng = np.random.default_rng(0)
+        text = self.SCRIPT
+        mutants = [text[:cut] for cut in rng.integers(0, len(text), size=300)]
+        for pos, bit in zip(rng.integers(0, len(text), size=3000), rng.integers(0, 7, size=3000)):
+            mutants.append(text[:pos] + chr(ord(text[pos]) ^ (1 << int(bit))) + text[pos + 1:])
+        numbers = [m.span() for m in re.finditer(r"\d+(\.\d+)?", text)]
+        odd = ["nan", "inf", "-inf", "-1", "0", "1e309", "", "1e-320", "2"]
+        for k, o in zip(rng.integers(0, len(numbers), size=600), rng.integers(0, len(odd), size=600)):
+            a, b = numbers[k]
+            mutants.append(text[:a] + odd[o] + text[b:])
+        for mutant in mutants:
+            try:
+                parse_scenario_script(mutant)
+            except ScriptParseError:
+                pass
