@@ -11,7 +11,9 @@ are offset by each tree's start, the roots are those offsets, and every leaf
 points to itself on both sides. All (row, tree) pairs then step together a
 fixed number of times, the deepest tree's depth; a pair that reached its
 leaf early stays there. This is the "perfect tree traversal" of Hummingbird
-(Nakandala et al., OSDI 2020).
+(Nakandala et al., OSDI 2020). Each tree's worst-case depth is found once,
+one level at a time over the whole table, when the table is built; the step
+count and the cost model's comparison count both read it.
 """
 
 from __future__ import annotations
@@ -49,16 +51,14 @@ class TreeNodes:
         return int(self.feature.size)
 
     def validate(self, n_features: int, n_classes: int) -> None:
-        n = self.n_nodes
-        if n == 0:
+        """Feature and class ids against the model; `NodeTable.concat`
+        checks the child ids."""
+        if self.n_nodes == 0:
             raise TreeIntegrityError("empty node table")
         internal = self.feature != LEAF
         leaves = ~internal
         if np.any((self.feature[internal] < 0) | (self.feature[internal] >= n_features)):
             raise TreeIntegrityError("split feature index out of range")
-        for child in (self.left[internal], self.right[internal]):
-            if np.any((child <= np.flatnonzero(internal)) | (child >= n)):
-                raise TreeIntegrityError("child node ids must point forward within the table")
         if np.any((self.leaf_class[leaves] < 0) | (self.leaf_class[leaves] >= n_classes)):
             raise TreeIntegrityError("leaf class id out of range")
 
@@ -79,6 +79,20 @@ class TreeNodes:
         return NodeTable.concat((self,)).leaf_classes(x)[:, 0]
 
 
+def _worst_case_depths(internal, left, right, roots) -> np.ndarray:
+    """Each tree's longest root-to-leaf path, one tree level at a time over
+    the whole table; every node has at most one parent and children point
+    forward, so each node is visited once."""
+    depth = np.zeros(internal.size, dtype=np.intp)
+    level, d = roots[internal[roots]], 0
+    while level.size:
+        d += 1
+        level = np.concatenate((left[level], right[level]))
+        depth[level] = d
+        level = level[internal[level]]
+    return np.maximum.reduceat(depth, roots)
+
+
 @dataclass(frozen=True)
 class NodeTable:
     """The trees of a forest in one set of node arrays with self-looping leaves."""
@@ -89,6 +103,7 @@ class NodeTable:
     right: np.ndarray
     leaf_class: np.ndarray  # (n_nodes,) intp, LEAF for internal nodes
     roots: np.ndarray  # (n_trees,) intp, each tree's first node
+    depths: np.ndarray  # (n_trees,) intp, each tree's worst-case depth
     steps: int  # the largest worst-case depth of any tree
     width: int  # columns an input row needs: 1 + the largest split feature
 
@@ -104,9 +119,14 @@ class NodeTable:
         internal = feature != LEAF
         if np.any(feature[internal] < 0):
             raise TreeIntegrityError("split feature index out of range")
+        parent = np.flatnonzero(internal)
         for child in (left[internal], right[internal]):
-            if np.any((child < start[internal]) | (child >= end[internal])):
-                raise TreeIntegrityError("a child id leaves its own tree's node range")
+            if np.any((child <= parent) | (child >= end[internal])):
+                raise TreeIntegrityError("a child id must point forward within its own tree")
+        children = np.concatenate((left[internal], right[internal]))
+        if np.bincount(children).max(initial=0) > 1:
+            raise TreeIntegrityError("a node is the child of two splits")
+        depths = _worst_case_depths(internal, left, right, roots)
         width = int(feature[internal].max(initial=-1)) + 1
         leaf = np.flatnonzero(~internal)
         feature[leaf] = 0
@@ -119,7 +139,8 @@ class NodeTable:
             right=right,
             leaf_class=np.concatenate([t.leaf_class for t in trees]).astype(np.intp),
             roots=roots,
-            steps=max(t.worst_case_depth() for t in trees),
+            depths=depths,
+            steps=int(depths.max()),
             width=width,
         )
 
@@ -161,7 +182,7 @@ class RfModel(BaseModel):
 
     def worst_case_comparisons(self) -> int:
         """Sum of worst-case depths over trees; the MAC-equivalent count."""
-        return sum(t.worst_case_depth() for t in self.trees)
+        return int(self.table.depths.sum())
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -8,8 +8,9 @@ Binary: magic ``NILM1``, then little-endian u32 sample count, f64 rate_hz,
 and count pairs of f64 (v, i).
 
 Both loaders reject NaN and infinite samples: CSV names the line, binary the
-sample index. The binary header's rate must be one the signal chain takes:
-the 10 kHz window rate or the 20 kHz acquisition rate. Every malformed file
+sample index. The rate, read from the binary header or inferred from the
+CSV time stamps, must be one the signal chain takes: the 10 kHz window rate
+or the 20 kHz acquisition rate. Every malformed file
 raises SampleParseError; in a CSV, bytes that are not UTF-8 are reported as
 a bad cell or header of their line.
 """
@@ -101,7 +102,12 @@ def _load_csv(path: Path) -> SampleStream:
             v.append(vv)
             i.append(ii)
     if len(v) >= 2 and prev_t and prev_t > 0:
-        rate = int(round((len(v) - 1) / prev_t))
+        inferred = (len(v) - 1) / prev_t  # inf when prev_t is subnormal
+        rate = next((r for r in (SAMPLE_RATE_HZ, ACQUISITION_RATE_HZ)
+                     if abs(inferred - r) < 0.5), None)
+        if rate is None:
+            raise SampleParseError(f"time stamps give a rate of {inferred:.6g} Hz, "
+                                   f"neither {SAMPLE_RATE_HZ} nor {ACQUISITION_RATE_HZ} Hz")
     return SampleStream(v=np.array(v), i=np.array(i), rate_hz=rate)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,12 @@ class Mains:
 
     amplitude_v: float = MAINS_230V_AMPLITUDE
     freq_hz: float = 50.0
+
+    def __post_init__(self):
+        for name in ("amplitude_v", "freq_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"mains {name} must be finite and positive, got {value!r}")
 
     @property
     def v_rms(self) -> float:
@@ -344,6 +350,7 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
     Every malformed script raises ScriptParseError, including numbers that
     are NaN or infinite."""
     header: dict[str, float] = {}
+    header_line: dict[str, int] = {}
     registry: dict[str, ApplianceModel] = {}
     events: list[ScenarioEvent] = []
     version_seen = False
@@ -361,6 +368,7 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
             version_seen = True
         elif key in ("duration_s", "mains_amplitude_v", "mains_freq_hz", "noise_rms_a"):
             header[key] = _number(body, key, line_no)
+            header_line[key] = line_no
         elif key == "appliance":
             app_id, model = _parse_appliance(body, line_no)
             registry[app_id] = model
@@ -380,10 +388,13 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
         raise ScriptParseError(1, "missing 'version: 1' declaration")
     if "duration_s" not in header:
         raise ScriptParseError(1, "missing 'duration_s'")
-    mains = Mains(
-        amplitude_v=header.get("mains_amplitude_v", MAINS_230V_AMPLITUDE),
-        freq_hz=header.get("mains_freq_hz", 50.0),
-    )
+    mains = Mains()
+    for key, name in (("mains_amplitude_v", "amplitude_v"), ("mains_freq_hz", "freq_hz")):
+        if key in header:
+            try:
+                mains = replace(mains, **{name: header[key]})
+            except ValueError as exc:
+                raise ScriptParseError(header_line[key], str(exc)) from None
     try:
         script = ScenarioScript(
             mains=mains,

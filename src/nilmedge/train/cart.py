@@ -12,9 +12,28 @@ Split search scores the whole (rows, candidates) block at once: one stable
 sort per column, one running class count, and the Gini at cut positions
 only. Ties go to the first cut in a column, then to the first candidate, as
 a per-feature loop that keeps the first strictly better split would pick.
+
+Trees grow on every usable CPU (`os.sched_getaffinity`), in contiguous
+shares of the tree indices. The calling process grows the first share
+itself and forks one child per other share. A child inherits the training
+rows through fork, sends its pickled trees back through a pipe and always
+leaves through `os._exit`, so an error in it never unwinds into the
+caller's code: it is raised again in the caller. The shares are joined in
+index order, so the forest, and its NLMM bytes, are those of one process
+growing every tree in turn; with one usable CPU nothing forks. There is no
+`multiprocessing.Pool`: it would leave the calling process idle while its
+workers hold every CPU, and it pickles the function it maps, where a fork
+shares the rows as they are. Forking a process that runs other threads
+can deadlock the child when one of them holds a lock; OpenBLAS, numpy's
+usual BLAS, stops its own threads around a fork.
 """
 
 from __future__ import annotations
+
+import os
+import pickle
+import signal
+import traceback
 
 import numpy as np
 
@@ -110,6 +129,93 @@ def _grow_tree(x, y, n_classes, max_depth, n_candidates, rng) -> TreeNodes:
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (and maybe no fork) on this platform
+        return 1
+
+
+def _map_forked(fn, n: int) -> list:
+    """[fn(k) for k in range(n)], split into one contiguous share per usable
+    CPU; the caller runs the first share and a forked child each other."""
+    n_shares = min(_usable_cpus(), n)
+    bounds = [n * s // n_shares for s in range(n_shares + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end of its pipe, share), not yet reaped
+    try:
+        for share in shares[1:]:
+            children.append((*_fork_share(fn, share), share))
+        out = [fn(k) for k in shares[0]]
+        while children:
+            pid, pipe, share = children[0]
+            data = pipe.read()
+            status = _reap(pid, pipe)
+            children.pop(0)
+            out += _share_result(data, status, share)
+        return out
+    finally:  # children are left here only when the caller failed
+        for pid, pipe, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid, pipe)
+
+
+def _fork_share(fn, share: range):
+    """Fork a child that pickles (True, [fn(k) for k in share]), or (False,
+    exception or None, traceback text), into a pipe; return (pid, read end
+    as an unbuffered file)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, [fn(k) for k in share])
+            except BaseException as exc:  # sent to the caller, which raises it again
+                payload = (False, _portable(exc), traceback.format_exc())
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb", buffering=0)
+
+
+def _reap(pid: int, pipe) -> int:
+    status = os.waitpid(pid, 0)[1]
+    pipe.close()
+    return status
+
+
+def _share_result(data: bytes, status: int, share: range) -> list:
+    where = f"the process growing trees {share.start}-{share.stop - 1}"
+    if status != 0 or not data:
+        raise RuntimeError(f"{where} ended with wait status {status}")
+    ok, value, *tb = pickle.loads(data)  # written by our own child
+    if ok:
+        return value
+    cause = RuntimeError(f"in {where}:\n{tb[0]}")
+    if value is None:
+        raise cause
+    raise value from cause
+
+
+def _portable(exc: BaseException) -> BaseException | None:
+    """exc if it survives a pickle round trip, else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
 def train_rf(
     d: Dataset,
     n_trees: int = 100,
@@ -124,15 +230,16 @@ def train_rf(
     y = d.y
     n_classes = len(d.class_names)
     n_candidates = max(1, int(np.ceil(np.sqrt(x.shape[1]))))
-    trees = []
-    for t in range(n_trees):
+
+    def grow(t: int) -> TreeNodes:
         rng = np.random.default_rng([seed, t])
         rows = rng.integers(0, y.size, size=y.size)
-        trees.append(_grow_tree(x[rows], y[rows], n_classes, max_depth, n_candidates, rng))
+        return _grow_tree(x[rows], y[rows], n_classes, max_depth, n_candidates, rng)
+
     return RfModel(
         class_names=d.class_names,
         layout=d.layout,
         selected_indices=selected_indices,
         scaler=None,  # trees are scale-free
-        trees=tuple(trees),
+        trees=tuple(_map_forked(grow, n_trees)),
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import leaf_oracle, random_tree, rf_oracle
+from helpers import leaf_oracle, random_rf, random_tree, rf_oracle
 from nilmedge.features import DEFAULT_LAYOUT
 from nilmedge.models.forest import NodeTable, RfModel, TreeIntegrityError, TreeNodes
 
@@ -104,3 +104,30 @@ def test_too_few_columns_rejected(mixed_forest):
     assert mixed_forest.table.width == N_FEATURES
     with pytest.raises(ValueError):
         mixed_forest.table.leaf_classes(np.zeros((2, N_FEATURES - 1)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_table_depths_match_each_trees_worst_case_depth(seed):
+    rng = np.random.default_rng(seed)
+    forest = random_rf(rng, n_trees=30, f=N_FEATURES, n_classes=N_CLASSES, depth=int(rng.integers(0, 9)))
+    per_tree = [t.worst_case_depth() for t in forest.trees]
+    assert forest.table.depths.tolist() == per_tree
+    assert forest.table.steps == max(per_tree)
+    assert forest.worst_case_comparisons() == sum(per_tree)
+
+
+def test_backward_child_id_rejected():
+    # node 2's left child is node 1, which sits before it
+    tree = TreeNodes(feature=[0, -1, 0, -1], threshold=[0.5, 0, 0.2, 0],
+                     left=[1, -1, 1, -1], right=[2, -1, 3, -1], leaf_class=[-1, 0, -1, 1])
+    with pytest.raises(TreeIntegrityError, match="forward"):
+        NodeTable.concat((tree,))
+
+
+def test_node_with_two_parents_rejected():
+    # node 3 is both node 1's right child and node 2's left child
+    tree = TreeNodes(feature=[0, 0, 0, -1, -1, -1, -1], threshold=[0.5, 0.1, 0.9, 0, 0, 0, 0],
+                     left=[1, 5, 3, -1, -1, -1, -1], right=[2, 3, 6, -1, -1, -1, -1],
+                     leaf_class=[-1, -1, -1, 0, 1, 0, 1])
+    with pytest.raises(TreeIntegrityError, match="two splits"):
+        NodeTable.concat((tree,))

@@ -159,3 +159,21 @@ def test_fuzzed_sample_files_raise_only_parse_errors(tmp_path, fmt):
                 load_samples(path, format=named)
             except SampleParseError:
                 pass
+
+
+@pytest.mark.parametrize("t1, rate", [("0.001", "1000 Hz"), ("1e-300", "1e\\+300 Hz"),
+                                      ("1e-320", "inf Hz"), ("0.0002", "5000 Hz")])
+def test_csv_inferred_rate_must_be_a_chain_rate(tmp_path, t1, rate):
+    path = tmp_path / "rate.csv"
+    path.write_text(f"t_s,v,i\n0,1.0,2.0\n{t1},1.0,2.0\n")
+    with pytest.raises(SampleParseError, match=f"rate of {rate}"):
+        load_samples(path, format="csv")
+
+
+@pytest.mark.parametrize("rate", [10_000, 20_000])
+def test_csv_chain_rates_load(tmp_path, rng, rate):
+    s = SampleStream(v=rng.normal(size=2000), i=rng.normal(size=2000), rate_hz=rate)
+    path = tmp_path / "ok.csv"
+    save_samples(s, path, format="csv")
+    out = load_samples(path)
+    assert out.rate_hz == rate and type(out.rate_hz) is int

@@ -266,3 +266,29 @@ class TestScriptFuzz:
                 parse_scenario_script(mutant)
             except ScriptParseError:
                 pass
+
+
+class TestMains:
+    @pytest.mark.parametrize("name, value", [
+        ("amplitude_v", 0.0), ("amplitude_v", -1.0), ("amplitude_v", np.nan), ("amplitude_v", np.inf),
+        ("freq_hz", 0.0), ("freq_hz", -50.0), ("freq_hz", np.nan), ("freq_hz", -np.inf),
+    ])
+    def test_non_positive_or_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"mains {name} must be finite and positive"):
+            Mains(**{name: value})
+
+    @pytest.mark.parametrize("line, text", [
+        (3, "mains_amplitude_v: -1"), (3, "mains_amplitude_v: 0"),
+        (4, "mains_freq_hz: 0"), (4, "mains_freq_hz: -50"),
+    ])
+    def test_script_names_the_offending_line(self, line, text):
+        lines = TestScriptFiles.SCRIPT.splitlines()
+        lines[line - 1] = text
+        with pytest.raises(ScriptParseError, match="mains") as err:
+            parse_scenario_script("\n".join(lines))
+        assert err.value.line_no == line
+
+    def test_script_values_reach_the_mains(self):
+        text = TestScriptFiles.SCRIPT.replace("mains_freq_hz: 50", "mains_freq_hz: 60")
+        script, _ = parse_scenario_script(text)
+        assert script.mains == Mains(amplitude_v=325.0, freq_hz=60.0)
