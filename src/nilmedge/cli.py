@@ -107,9 +107,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _samples(args):
+    return load_samples(args.samples, format=args.format if args.format != "auto" else None)
+
+
 def cmd_extract(args) -> int:
     _echo_seed(args.seed)
-    stream = load_samples(args.samples, format=args.format if args.format != "auto" else None)
+    stream = _samples(args)
     layout = LAYOUTS[args.layout]
     matrix, indices = feature_matrix(window_stream(stream), layout)
     out = args.out or "features.csv"
@@ -174,7 +178,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify(args) -> int:
     _echo_seed(args.seed)
-    stream = load_samples(args.samples)
+    stream = _samples(args)
     model = load_model(args.model)
     labels = classify_stream(stream, model, mode=args.mode, threshold_w=args.threshold_w)
     out = args.out or "events.csv"
@@ -203,13 +207,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="nilmedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="bin"):
+    def common(p, fmt_default=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "bin", "auto"), default=fmt_default)
+        if fmt_default:  # only the subcommands that write or read a sample file
+            p.add_argument("--format", choices=("csv", "bin", "auto"), default=fmt_default)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario")
-    common(p)
+    common(p, fmt_default="bin")
     p.add_argument("--scenario", choices=scenarios.SCENARIO_IDS, default="single7")
     p.add_argument("--script", default=None, help="scenario script file (overrides --scenario)")
     p.set_defaults(func=cmd_synth)

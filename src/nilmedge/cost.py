@@ -14,18 +14,28 @@ equal the sum of its constituent rows in MAC and SRAM (18.24 kMAC vs 18.28,
 vector, the estimator returns the measured row; any other subset is the sum
 of the applicable rows, with the cheapest valid reactive-power variant and
 current-only calibration when no feature needs the voltage channel.
+
+Reports and profiles are dataclasses, and a record's JSON is its fields
+(``records.dumps``): derived values such as ``CostReport.total`` and
+``BudgetVerdict.fits`` are fields set at construction. A profile document
+carries exactly the profile's fields plus ``format`` and ``version``;
+anything else, a non-finite value, a non-positive budget or size, or a
+negative table entry raises ``ValueError`` naming the key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .features import FeatureLayout
 from .models.base import BaseModel
 from .models.io import model_kind
+from .records import dumps, jsonable
 
+PROFILE_FORMAT = "nilmedge-cost-profile"
 PROFILE_FORMAT_VERSION = 1
 
 KIB = 1024.0
@@ -39,20 +49,8 @@ class ResourceCost:
     sram_bytes: float = 0.0
 
     def __add__(self, other: "ResourceCost") -> "ResourceCost":
-        return ResourceCost(
-            mac=self.mac + other.mac,
-            cycles=self.cycles + other.cycles,
-            flash_bytes=self.flash_bytes + other.flash_bytes,
-            sram_bytes=self.sram_bytes + other.sram_bytes,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "mac": self.mac,
-            "cycles": self.cycles,
-            "flash_bytes": self.flash_bytes,
-            "sram_bytes": self.sram_bytes,
-        }
+        return ResourceCost(**{f.name: getattr(self, f.name) + getattr(other, f.name)
+                               for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -73,21 +71,8 @@ def _row(sram_kib: float, flash_kib: float, kmac: float, kcycles: float) -> Reso
 
 # Measured extraction costs per feature group. Q variants: q1 reuses both P
 # and |S|, q2 recomputes P, q3 recomputes |S|, q4 recomputes both. The
-# unordered FFT variant skips output reordering.
-EXTRACTION_ROWS = (
-    "raw_conv_vi",
-    "raw_conv_i",
-    "p",
-    "s_abs",
-    "q1",
-    "q2",
-    "q3",
-    "q4",
-    "fft_1024",
-    "fft_1024_unordered",
-    "full_vector",
-)
-
+# unordered FFT variant skips output reordering and is the one charged; the
+# ordered fft_1024 row stays as measured data of the version-1 profile format.
 _CORTEX_M4_EXTRACTION = {
     "raw_conv_vi": _row(8, 0, 4, 15),
     "raw_conv_i": _row(4, 0, 2, 9),
@@ -101,6 +86,8 @@ _CORTEX_M4_EXTRACTION = {
     "fft_1024_unordered": _row(4, 14.1, 10.24, 62),
     "full_vector": _row(24, 14.1, 18.24, 105),
 }
+
+EXTRACTION_ROWS = tuple(_CORTEX_M4_EXTRACTION)
 
 
 @dataclass(frozen=True)
@@ -117,17 +104,31 @@ class CostProfile:
     rf_code_overhead_bytes: int = 600
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"profile name must be a string, got {self.name!r}")
         missing = [r for r in EXTRACTION_ROWS if r not in self.extraction]
         if missing:
             raise ValueError(f"profile {self.name!r} lacks extraction rows {missing}")
         for kind in ("knn", "svm", "mlp", "rf"):
             if kind not in self.model_coefficients:
                 raise ValueError(f"profile {self.name!r} lacks coefficients for {kind!r}")
-        for attr in ("flash_total_bytes", "sram_total_bytes", "clock_hz",
-                     "window_budget_cycles", "bytes_per_parameter",
-                     "rf_node_bytes", "rf_code_overhead_bytes"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive")
+        for key in ("extraction", "model_coefficients"):
+            for row, record in getattr(self, key).items():
+                for f in fields(record):
+                    _check_number(f"{key}.{row}.{f.name}", getattr(record, f.name),
+                                  positive=False)
+        for f in fields(self):
+            if f.name not in ("name", "extraction", "model_coefficients"):
+                _check_number(f.name, getattr(self, f.name), positive=True)
+
+
+def _check_number(where: str, value, positive: bool) -> None:
+    """Profile values are finite numbers; budgets and sizes are positive, and
+    table rows and coefficients are non-negative."""
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite or not (value > 0 if positive else value >= 0):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{where} must be a finite {sign} number, got {value!r}")
 
 
 CORTEX_M4_PAPER = CostProfile(
@@ -195,7 +196,7 @@ class ExtractionCost:
 
 
 def extraction_cost(groups: set[str] | FeatureLayout, profile: CostProfile,
-                    selected_indices=None, reordered_fft: bool = False) -> ExtractionCost:
+                    selected_indices=None) -> ExtractionCost:
     """Extraction-stage cost for a feature-group subset.
 
     Accepts either an explicit group set or a layout (plus optional selected
@@ -212,9 +213,8 @@ def extraction_cost(groups: set[str] | FeatureLayout, profile: CostProfile,
         raise ValueError("at least one feature group is required")
 
     needs_voltage = bool(groups & {"p", "s_abs", "q"})
-    fft_row = "fft_1024" if reordered_fft else "fft_1024_unordered"
 
-    if groups == set(FEATURE_GROUPS) and not reordered_fft:
+    if groups == set(FEATURE_GROUPS):
         # the canonical full vector is a measured row of its own
         return ExtractionCost(
             cost=profile.extraction["full_vector"],
@@ -233,7 +233,7 @@ def extraction_cost(groups: set[str] | FeatureLayout, profile: CostProfile,
                     "q2" if has_s else
                     "q3" if has_p else "q4")
     if "harmonics" in groups:
-        rows.append(fft_row)
+        rows.append("fft_1024_unordered")
 
     total = ResourceCost()
     for row in rows:
@@ -319,22 +319,10 @@ class BudgetVerdict:
     margin_flash_bytes: float
     margin_sram_bytes: float
     classification_budget_cycles: float
+    fits: bool = field(init=False)
 
-    @property
-    def fits(self) -> bool:
-        return self.fits_cycles and self.fits_flash and self.fits_sram
-
-    def as_dict(self) -> dict:
-        return {
-            "fits_cycles": self.fits_cycles,
-            "fits_flash": self.fits_flash,
-            "fits_sram": self.fits_sram,
-            "fits": self.fits,
-            "margin_cycles": self.margin_cycles,
-            "margin_flash_bytes": self.margin_flash_bytes,
-            "margin_sram_bytes": self.margin_sram_bytes,
-            "classification_budget_cycles": self.classification_budget_cycles,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "fits", self.fits_cycles and self.fits_flash and self.fits_sram)
 
 
 def budget_check(extraction: ResourceCost, classification: ResourceCost,
@@ -354,30 +342,22 @@ def budget_check(extraction: ResourceCost, classification: ResourceCost,
 
 @dataclass(frozen=True)
 class CostReport:
-    profile_name: str
+    profile: str
     extraction: ResourceCost
     extraction_rows: tuple[str, ...]
     needs_voltage: bool
     classification: ResourceCost
     verdict: BudgetVerdict
+    total: ResourceCost = field(init=False)
 
-    @property
-    def total(self) -> ResourceCost:
-        return self.extraction + self.classification
+    def __post_init__(self):
+        object.__setattr__(self, "total", self.extraction + self.classification)
 
     def as_dict(self) -> dict:
-        return {
-            "profile": self.profile_name,
-            "extraction": self.extraction.as_dict(),
-            "extraction_rows": list(self.extraction_rows),
-            "needs_voltage": self.needs_voltage,
-            "classification": self.classification.as_dict(),
-            "total": self.total.as_dict(),
-            "verdict": self.verdict.as_dict(),
-        }
+        return jsonable(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=1)
+        return dumps(self)
 
     def to_table(self) -> str:
         def fmt(label, c: ResourceCost):
@@ -385,7 +365,7 @@ class CostReport:
                     f"{c.flash_bytes / KIB:>11.2f} {c.sram_bytes / KIB:>11.2f}")
 
         lines = [
-            f"cost report against profile '{self.profile_name}'",
+            f"cost report against profile '{self.profile}'",
             f"{'stage':<16} {'MAC':>12} {'cycles':>12} {'flash KiB':>11} {'sram KiB':>11}",
             fmt("extraction", self.extraction),
             fmt("classification", self.classification),
@@ -400,15 +380,12 @@ class CostReport:
         return "\n".join(lines)
 
 
-def cost_report(model: BaseModel, profile: CostProfile,
-                reordered_fft: bool = False) -> CostReport:
+def cost_report(model: BaseModel, profile: CostProfile) -> CostReport:
     """Full extraction + classification report for a trained model."""
-    ext = extraction_cost(model.layout, profile,
-                          selected_indices=model.selected_indices,
-                          reordered_fft=reordered_fft)
+    ext = extraction_cost(model.layout, profile, selected_indices=model.selected_indices)
     cls = classification_cost(model, profile)
     return CostReport(
-        profile_name=profile.name,
+        profile=profile.name,
         extraction=ext.cost,
         extraction_rows=ext.rows,
         needs_voltage=ext.needs_voltage,
@@ -420,48 +397,36 @@ def cost_report(model: BaseModel, profile: CostProfile,
 # --- profile files -----------------------------------------------------------
 
 def profile_to_json(profile: CostProfile) -> str:
-    doc = {
-        "format": "nilmedge-cost-profile",
-        "version": PROFILE_FORMAT_VERSION,
-        "name": profile.name,
-        "flash_total_bytes": profile.flash_total_bytes,
-        "sram_total_bytes": profile.sram_total_bytes,
-        "clock_hz": profile.clock_hz,
-        "window_budget_cycles": profile.window_budget_cycles,
-        "bytes_per_parameter": profile.bytes_per_parameter,
-        "rf_node_bytes": profile.rf_node_bytes,
-        "rf_code_overhead_bytes": profile.rf_code_overhead_bytes,
-        "extraction": {k: v.as_dict() for k, v in profile.extraction.items()},
-        "model_coefficients": {
-            k: {"cycles_per_mac": m.cycles_per_mac,
-                "kernel_eval_extra": m.kernel_eval_extra,
-                "fixed_overhead": m.fixed_overhead}
-            for k, m in profile.model_coefficients.items()
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return dumps({"format": PROFILE_FORMAT, "version": PROFILE_FORMAT_VERSION,
+                  **jsonable(profile)})
+
+
+def _record_fields(record, doc, where: str) -> dict:
+    """A JSON object that carries exactly the fields of a record class."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    wrong = sorted({f.name for f in fields(record)} ^ doc.keys())
+    if wrong:
+        raise ValueError(f"{where}: missing or unknown keys {wrong}")
+    return doc
 
 
 def profile_from_json(text: str) -> CostProfile:
+    """Parse a profile document; a malformed one raises ValueError naming the key."""
     doc = json.loads(text)
-    if doc.get("format") != "nilmedge-cost-profile":
+    if not isinstance(doc, dict) or doc.pop("format", None) != PROFILE_FORMAT:
         raise ValueError("not a cost-profile document")
-    if doc.get("version") != PROFILE_FORMAT_VERSION:
-        raise ValueError(f"unsupported profile version {doc.get('version')}")
-    profile = CostProfile(
-        name=doc["name"],
-        extraction={k: ResourceCost(**v) for k, v in doc["extraction"].items()},
-        model_coefficients={
-            k: ModelCostCoefficients(**v) for k, v in doc["model_coefficients"].items()
-        },
-        flash_total_bytes=doc["flash_total_bytes"],
-        sram_total_bytes=doc["sram_total_bytes"],
-        clock_hz=doc["clock_hz"],
-        window_budget_cycles=doc["window_budget_cycles"],
-        bytes_per_parameter=doc["bytes_per_parameter"],
-        rf_node_bytes=doc["rf_node_bytes"],
-        rf_code_overhead_bytes=doc["rf_code_overhead_bytes"],
-    )
+    version = doc.pop("version", None)
+    if version != PROFILE_FORMAT_VERSION:
+        raise ValueError(f"unsupported profile version {version!r}")
+    args = _record_fields(CostProfile, doc, "profile")
+    for key, record in (("extraction", ResourceCost),
+                        ("model_coefficients", ModelCostCoefficients)):
+        if not isinstance(args[key], dict):
+            raise ValueError(f"profile {key} must be a JSON object")
+        args[key] = {row: record(**_record_fields(record, cells, f"{key}.{row}"))
+                     for row, cells in args[key].items()}
+    profile = CostProfile(**args)
     validate_profile(profile)
     return profile
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
-from .signals import SAMPLE_RATE_HZ, SampleStream
+from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream
 
 APPLIANCE_KINDS = ("resistive", "reactive", "rectifier", "phase_cut")
 
@@ -218,8 +219,6 @@ def synth_scenario(
     The aggregate current is the elementwise sum of each appliance's gated
     solo current, so superposition holds exactly under per-appliance seeding.
     """
-    from .signals import WINDOW_SAMPLES
-
     for ev in script.events:
         if ev.appliance_id not in registry:
             raise ScenarioError(f"unknown appliance id {ev.appliance_id!r}")
@@ -246,18 +245,13 @@ def synth_scenario(
 
     n_windows = n // WINDOW_SAMPLES
     window_s = WINDOW_SAMPLES / rate_hz
-    active: list[frozenset[str]] = []
-    for j in range(n_windows):
-        center = (j + 0.5) * window_s
-        on: set[str] = set()
-        for app_id, events in by_appliance.items():
-            state = False
-            for ev in events:
-                if ev.time_s <= center:
-                    state = ev.action == "on"
-            if state:
-                on.add(app_id)
-        active.append(frozenset(on))
+    centers = (np.arange(n_windows) + 0.5) * window_s
+    # each appliance's state after its last event at or before a window centre
+    on = np.zeros((n_windows, len(by_appliance)), dtype=bool)
+    for k, events in enumerate(by_appliance.values()):
+        states = np.array([False] + [ev.action == "on" for ev in events])
+        on[:, k] = states[np.searchsorted([ev.time_s for ev in events], centers, side="right")]
+    active = [frozenset(compress(by_appliance, row)) for row in on.tolist()]
 
     toggles: dict[int, list[tuple[str, str]]] = {}
     for ev in script.events:

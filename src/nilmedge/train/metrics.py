@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..records import jsonable
+
 
 @dataclass(frozen=True)
 class ClassificationMetrics:
@@ -19,12 +21,7 @@ class ClassificationMetrics:
     confusion: np.ndarray  # (C, C), rows = true class, cols = predicted
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision_macro": self.precision_macro,
-            "recall_macro": self.recall_macro,
-            "confusion": self.confusion.tolist(),
-        }
+        return jsonable(self)
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:

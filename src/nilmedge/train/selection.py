@@ -5,6 +5,9 @@ each point (or reuses fixed hyperparameters in fast mode), evaluates it on
 the held-out split, attaches the MCU cost report, and picks the smallest
 feature count that stays within the accuracy drop tolerance while fitting
 the hardware budget.
+
+Each result is a dataclass whose JSON document is its fields
+(``records.dumps``), so ``MdaReport.from_json`` is the constructor itself.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from ..cost import CostProfile, CostReport, cost_report
 from ..models.base import classify_matrix
+from ..records import dumps, jsonable
 from .dataset import Dataset
 from .metrics import evaluate
 from .trainers import MODEL_KINDS, train_model
@@ -101,12 +105,7 @@ class GridSearchResult:
     table: tuple[dict, ...]  # one record per cell, in axis order
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "best_params": _jsonable(self.best_params),
-            "best_accuracy": self.best_accuracy,
-            "table": [_jsonable(rec) for rec in self.table],
-        }
+        return jsonable(self)
 
 
 def grid_search(
@@ -182,36 +181,17 @@ class MdaReport:
     params: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "importances", tuple(self.importances))
+        object.__setattr__(self, "ranking", tuple(self.ranking))
         if sorted(self.ranking) != list(range(len(self.importances))):
             raise ValueError("ranking must be a permutation of the feature indices")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "baseline_accuracy": self.baseline_accuracy,
-                "importances": list(self.importances),
-                "ranking": list(self.ranking),
-                "repetitions": self.repetitions,
-                "seed": self.seed,
-                "kind": self.kind,
-                "params": _jsonable(self.params),
-            },
-            sort_keys=True,
-            indent=1,
-        )
+        return dumps(self)
 
     @classmethod
     def from_json(cls, text: str) -> "MdaReport":
-        doc = json.loads(text)
-        return cls(
-            baseline_accuracy=doc["baseline_accuracy"],
-            importances=tuple(doc["importances"]),
-            ranking=tuple(doc["ranking"]),
-            repetitions=doc["repetitions"],
-            seed=doc["seed"],
-            kind=doc["kind"],
-            params=doc["params"],
-        )
+        return cls(**json.loads(text))
 
 
 def mda_rank(
@@ -268,15 +248,7 @@ class SweepPoint:
     cost: CostReport
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "indices": list(self.indices),
-            "params": _jsonable(self.params),
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "cost": self.cost.as_dict(),
-        }
+        return jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -295,20 +267,7 @@ class SweepReport:
         return next(p for p in self.points if p.m == self.chosen_m)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "points": [p.as_dict() for p in self.points],
-                "chosen_m": self.chosen_m,
-                "feasible": self.feasible,
-                "max_accuracy": self.max_accuracy,
-                "drop_tolerance": self.drop_tolerance,
-                "overfitting_dip": self.overfitting_dip,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-            indent=1,
-        )
+        return dumps(self)
 
     def to_csv(self) -> str:
         """Per-point accuracy/MAC/flash curve data for external plotting."""
@@ -394,15 +353,3 @@ def sweep_feature_count(
         overfitting_dip=points[-1].accuracy < max_accuracy - drop_tolerance,
         seed=seed,
     )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj

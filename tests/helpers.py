@@ -365,3 +365,35 @@ def classify_stream_oracle(stream, model, mode: str) -> list[tuple]:
             name = label(delta) if status == "labeled" else None
         out.append((j, ev.delta_p_w, ev.direction, valid, status, name))
     return out
+
+
+def label_track_oracle(script, rate_hz: int):
+    """The per-window ground truth by the window x appliance x event loop:
+    an appliance is on at a window centre when its last event at or before
+    the centre switched it on."""
+    from nilmedge.signals import WINDOW_SAMPLES
+    from nilmedge.synth import LabelTrack
+
+    n_windows = int(round(script.duration_s * rate_hz)) // WINDOW_SAMPLES
+    window_s = WINDOW_SAMPLES / rate_hz
+    by_appliance: dict = {}
+    for ev in script.events:
+        by_appliance.setdefault(ev.appliance_id, []).append(ev)
+    active = []
+    for j in range(n_windows):
+        center = (j + 0.5) * window_s
+        on = set()
+        for app_id, events in by_appliance.items():
+            state = False
+            for ev in events:
+                if ev.time_s <= center:
+                    state = ev.action == "on"
+            if state:
+                on.add(app_id)
+        active.append(frozenset(on))
+    toggles: dict = {}
+    for ev in script.events:
+        j = int(ev.time_s / window_s)
+        if j < n_windows:
+            toggles.setdefault(j, []).append((ev.appliance_id, ev.action))
+    return LabelTrack(active=tuple(active), toggles={j: tuple(v) for j, v in toggles.items()})

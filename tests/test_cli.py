@@ -7,7 +7,7 @@ from nilmedge.cli import main
 from nilmedge.features import DEFAULT_LAYOUT, extract_features
 from nilmedge.models.io import load_model
 from nilmedge.pipeline import window_dataset
-from nilmedge.sampleio import load_samples
+from nilmedge.sampleio import load_samples, save_samples
 from nilmedge.signals import window_stream
 from nilmedge.train.dataset import save_dataset
 
@@ -218,3 +218,39 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["extract"])
         assert exc.value.code == 1
+
+
+class TestFormatAndDataErrors:
+    @pytest.fixture
+    def rf_model(self, tmp_path):
+        from helpers import random_rf
+        from nilmedge.models.io import save_model
+        path = tmp_path / "rf.nlmm"
+        save_model(random_rf(np.random.default_rng(0), n_trees=2), path)
+        return path
+
+    def test_classify_honours_format(self, synth_dir, rf_model, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        save_samples(load_samples(synth_dir / "samples.bin"), csv_path, format="csv")
+        code, _, err = run(capsys, "classify", "--samples", str(csv_path),
+                           "--model", str(rf_model), "--format", "bin",
+                           "--out", str(tmp_path / "events.csv"))
+        assert code == 2 and "magic" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dataset", "d.csv", "--kind", "rf"],
+        ["mda", "--dataset", "d.csv", "--kind", "rf"],
+        ["sweep", "--dataset", "d.csv", "--kind", "rf"],
+        ["cost", "--model", "m.nlmm"],
+    ], ids=lambda argv: argv[0])
+    def test_format_only_where_samples_are_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+    def test_malformed_profile_is_data_error(self, rf_model, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        code, _, err = run(capsys, "cost", "--model", str(rf_model), "--profile", str(bad))
+        assert code == 2 and "cost-profile" in err

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -243,3 +244,87 @@ class TestReportsAndProfiles:
         with pytest.raises(ValueError):
             CostProfile(name="x", extraction=rows,
                         model_coefficients=PROFILE.model_coefficients)
+
+
+def profile_doc() -> dict:
+    return json.loads(profile_to_json(PROFILE))
+
+
+def leaf_paths(doc, prefix=()):
+    """Every (key, ...) path to a value that is not an object."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def edited(doc, path, value=None, drop=False) -> str:
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+BAD_VALUES = (float("nan"), -1, "x", [], None)
+
+
+class TestMalformedProfiles:
+    @pytest.mark.parametrize("text,key", [
+        ("[]", "not a cost-profile"),
+        ("null", "not a cost-profile"),
+        (edited(profile_doc(), ("extraction", "p", "flops"), 1.0), "flops"),
+        (edited(profile_doc(), ("extraction", "p"), [1, 2]), "extraction.p"),
+        (edited(profile_doc(), ("model_coefficients", "svm", "cycles_per_mac"), drop=True),
+         "cycles_per_mac"),
+        (edited(profile_doc(), ("clock_hz",), "84e6"), "clock_hz"),
+        (edited(profile_doc(), ("clock_hz",), drop=True), "clock_hz"),
+        (edited(profile_doc(), ("window_budget_cycles",), float("nan")), "window_budget_cycles"),
+        (edited(profile_doc(), ("window_budget_cycles",), float("inf")), "window_budget_cycles"),
+        (edited(profile_doc(), ("extraction", "q1", "sram_bytes"), -1.0), "q1.sram_bytes"),
+        (edited(profile_doc(), ("model_coefficients", "rf", "fixed_overhead"), float("nan")),
+         "rf.fixed_overhead"),
+        (edited(profile_doc(), ("rf_node_bytes",), True), "rf_node_bytes"),
+        (edited(profile_doc(), ("extraction",), "x"), "extraction"),
+        (edited(profile_doc(), ("comment",), "x"), "comment"),
+    ], ids=["list", "null", "unknown-row-key", "row-not-object", "missing-coefficient",
+            "string-clock", "missing-clock", "nan-budget", "inf-budget", "negative-row",
+            "nan-coefficient", "bool-size", "table-not-object", "unknown-key"])
+    def test_rejected_with_value_error_naming_the_key(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            profile_from_json(text)
+
+    def test_seeded_fuzz_raises_only_value_error(self):
+        doc = profile_doc()
+        text = profile_to_json(PROFILE)
+        leaves = list(leaf_paths(doc))
+        keys = list(key_paths(doc))
+        rng = np.random.default_rng(2024)
+        for trial in range(600):
+            mode = trial % 3
+            if mode == 0:
+                mutated, must_fail = text[:int(rng.integers(0, len(text)))], True
+            elif mode == 1:
+                mutated, must_fail = edited(doc, keys[rng.integers(len(keys))], drop=True), True
+            else:
+                path = leaves[rng.integers(len(leaves))]
+                value = BAD_VALUES[rng.integers(len(BAD_VALUES))]
+                # any string is a valid name; every other swap is invalid
+                mutated, must_fail = edited(doc, path, value), path != ("name",) or value != "x"
+            try:
+                profile_from_json(mutated)
+            except ValueError:
+                continue
+            assert not must_fail, mutated

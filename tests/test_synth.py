@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import label_track_oracle
 from nilmedge.features import apparent_power, extract_features, real_power
 from nilmedge.signals import SampleWindow, window_stream
 from nilmedge.synth import (
@@ -180,6 +181,36 @@ class TestScenario:
         a, _ = synth_scenario(script, REGISTRY, seed=7)
         b, _ = synth_scenario(script, REGISTRY, seed=7)
         assert np.array_equal(a.i, b.i)
+
+    @pytest.mark.parametrize("rate_hz", [10_000, 20_000])
+    def test_label_track_matches_loop_oracle(self, rate_hz):
+        rng = np.random.default_rng(rate_hz)
+        window_s = 1000 / rate_hz
+        apps = ["heater", "fan", "lamp"]
+        registry = {**REGISTRY, "lamp": ApplianceModel(kind="resistive", nominal_power_w=40.0)}
+        for _ in range(20):
+            duration = float(rng.uniform(0.05, 3.0))
+            times = list(rng.uniform(0.0, duration + 0.3, size=int(rng.integers(0, 12))))
+            # an event exactly at a window centre, and a repeat of the same time
+            times.append((int(rng.integers(0, 30)) + 0.5) * window_s)
+            times.append(times[int(rng.integers(len(times)))])
+            events = [ScenarioEvent(float(t), apps[int(rng.integers(3))],
+                                    ("on", "off")[int(rng.integers(2))])
+                      for t in sorted(times)]
+            script = ScenarioScript(mains=MAINS, events=tuple(events), duration_s=duration)
+            _, track = synth_scenario(script, registry, seed=0, rate_hz=rate_hz)
+            assert track == label_track_oracle(script, rate_hz)
+
+    def test_label_track_same_time_events_of_one_appliance(self):
+        # the later of two same-time events wins, as in the script's order
+        centre = 2.5 * 0.1
+        script = ScenarioScript(mains=MAINS, events=(
+            ScenarioEvent(centre, "heater", "on"), ScenarioEvent(centre, "heater", "off"),
+            ScenarioEvent(centre, "fan", "off"), ScenarioEvent(centre, "fan", "on"),
+        ), duration_s=0.5)
+        _, track = synth_scenario(script, REGISTRY, seed=0)
+        assert track.active == (frozenset(),) * 2 + (frozenset({"fan"}),) * 3
+        assert track == label_track_oracle(script, 10_000)
 
     def test_min_event_gap(self):
         script = ScenarioScript(mains=MAINS,
