@@ -24,7 +24,7 @@ from .features import (
 )
 from .models.io import load_model, save_model
 from .pipeline import classify_stream, write_stream_labels_csv
-from .sampleio import load_samples, save_samples
+from .sampleio import FORMATS, load_samples, save_samples
 from .signals import window_stream
 from .synth import parse_scenario_script, synth_scenario
 from .train import (
@@ -207,20 +207,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="nilmedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default=None):
+    def common(p, formats=(), fmt_default=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        if fmt_default:  # only the subcommands that write or read a sample file
-            p.add_argument("--format", choices=("csv", "bin", "auto"), default=fmt_default)
+        if formats:  # only the subcommands that write or read a sample file
+            p.add_argument("--format", choices=formats, default=fmt_default)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario")
-    common(p, fmt_default="bin")
+    common(p, formats=FORMATS, fmt_default="bin")
     p.add_argument("--scenario", choices=scenarios.SCENARIO_IDS, default="single7")
     p.add_argument("--script", default=None, help="scenario script file (overrides --scenario)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract per-window feature vectors")
-    common(p, fmt_default="auto")
+    common(p, formats=FORMATS + ("auto",), fmt_default="auto")
     p.add_argument("--samples", required=True)
     p.add_argument("--layout", choices=tuple(LAYOUTS), default="default")
     p.set_defaults(func=cmd_extract)
@@ -255,7 +255,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("classify", help="run the online pipeline over a sample stream")
-    common(p, fmt_default="auto")
+    common(p, formats=FORMATS + ("auto",), fmt_default="auto")
     p.add_argument("--samples", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("single", "multi"), default="single")

@@ -33,7 +33,7 @@ from pathlib import Path
 from .features import FeatureLayout
 from .models.base import BaseModel
 from .models.io import model_kind
-from .records import dumps, jsonable
+from .records import dumps, jsonable, record_fields
 
 PROFILE_FORMAT = "nilmedge-cost-profile"
 PROFILE_FORMAT_VERSION = 1
@@ -401,16 +401,6 @@ def profile_to_json(profile: CostProfile) -> str:
                   **jsonable(profile)})
 
 
-def _record_fields(record, doc, where: str) -> dict:
-    """A JSON object that carries exactly the fields of a record class."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    wrong = sorted({f.name for f in fields(record)} ^ doc.keys())
-    if wrong:
-        raise ValueError(f"{where}: missing or unknown keys {wrong}")
-    return doc
-
-
 def profile_from_json(text: str) -> CostProfile:
     """Parse a profile document; a malformed one raises ValueError naming the key."""
     doc = json.loads(text)
@@ -419,12 +409,12 @@ def profile_from_json(text: str) -> CostProfile:
     version = doc.pop("version", None)
     if version != PROFILE_FORMAT_VERSION:
         raise ValueError(f"unsupported profile version {version!r}")
-    args = _record_fields(CostProfile, doc, "profile")
+    args = record_fields(CostProfile, doc, "profile")
     for key, record in (("extraction", ResourceCost),
                         ("model_coefficients", ModelCostCoefficients)):
         if not isinstance(args[key], dict):
             raise ValueError(f"profile {key} must be a JSON object")
-        args[key] = {row: record(**_record_fields(record, cells, f"{key}.{row}"))
+        args[key] = {row: record(**record_fields(record, cells, f"{key}.{row}"))
                      for row, cells in args[key].items()}
     profile = CostProfile(**args)
     validate_profile(profile)

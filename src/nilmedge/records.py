@@ -9,7 +9,7 @@ therefore in its document without further code.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -30,3 +30,13 @@ def jsonable(obj):
 def dumps(obj) -> str:
     """The document of a record: sorted keys, one-space indent."""
     return json.dumps(jsonable(obj), sort_keys=True, indent=1)
+
+
+def record_fields(record, doc, where: str) -> dict:
+    """A JSON object that carries exactly the fields of a record class."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    wrong = sorted({f.name for f in fields(record)} ^ doc.keys())
+    if wrong:
+        raise ValueError(f"{where}: missing or unknown keys {wrong}")
+    return doc

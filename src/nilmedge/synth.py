@@ -14,6 +14,18 @@ Gaussian noise is added to the current channel only; the voltage is taken as
 clean mains. All generation is deterministic for a fixed seed, and scenario
 noise is seeded per appliance so that a solo re-run of one appliance
 reproduces exactly its contribution to the aggregate.
+
+A scenario evaluates each appliance's sines only on the sample spans where
+the appliance is on and adds each span into the aggregate, so a load costs
+time only while it is on. Its noise is still drawn over the whole duration
+from its own seed and then sliced to the spans, so every draw lands on the
+same sample whatever the script. The aggregate is therefore bit for bit the
+sum over appliances of solo current times a 0/1 gate per sample: the solo
+current times 1.0 is itself, and off the spans that sum would add a signed
+zero to a total that starts at +0, can never become -0, and so is left
+unchanged. That needs every solo current to be finite: the model, event and
+script constructors reject non-finite numbers, so only magnitudes near the
+float range, where a current overflows, are left out.
 """
 
 from __future__ import annotations
@@ -31,9 +43,24 @@ APPLIANCE_KINDS = ("resistive", "reactive", "rectifier", "phase_cut")
 
 MAINS_230V_AMPLITUDE = 230.0 * np.sqrt(2.0)
 
+# Spans are evaluated this many samples at a time: the 64 KiB temporaries
+# are reused from one chunk to the next, so a long span does not leave heap
+# of its own length resident after the scenario. The samples are the same
+# for any chunk length.
+SPAN_CHUNK = 8192
+
 
 class ScenarioError(ValueError):
     """A scenario script is malformed or references unknown appliances."""
+
+
+def _require_finite(record, names: tuple[str, ...], what: str, error: type[Exception]) -> None:
+    """NaN and infinity pass every range check below unseen, so they are
+    rejected first, naming the field."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise error(f"{what} {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +93,8 @@ class ApplianceModel:
     def __post_init__(self):
         if self.kind not in APPLIANCE_KINDS:
             raise ValueError(f"unknown appliance kind {self.kind!r}")
+        _require_finite(self, ("nominal_power_w", "phase_rad", "noise_rms_a"), "appliance",
+                        ValueError)
         if self.nominal_power_w <= 0:
             raise ValueError("nominal power must be positive")
         if self.noise_rms_a < 0:
@@ -73,8 +102,8 @@ class ApplianceModel:
         if not 0 <= self.cut_angle_rad < np.pi:
             raise ValueError("cut angle must lie in [0, pi)")
         for order, rel in self.harmonic_profile.items():
-            if order < 1 or order % 2 == 0:
-                raise ValueError(f"harmonic orders must be odd and >= 1, got {order}")
+            if not isinstance(order, (int, np.integer)) or order < 1 or order % 2 == 0:
+                raise ValueError(f"harmonic orders must be odd integers >= 1, got {order!r}")
             if not 0 <= rel <= 1:
                 raise ValueError(f"relative harmonic amplitudes lie in [0, 1], got {rel}")
         if self.kind == "rectifier" and self.harmonic_profile.get(1) != 1.0:
@@ -90,6 +119,7 @@ class ScenarioEvent:
     def __post_init__(self):
         if self.action not in ("on", "off"):
             raise ScenarioError(f"event action must be 'on' or 'off', got {self.action!r}")
+        _require_finite(self, ("time_s",), "event", ScenarioError)
         if self.time_s < 0:
             raise ScenarioError("event times cannot be negative")
 
@@ -110,6 +140,7 @@ class ScenarioScript:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        _require_finite(self, ("duration_s", "noise_rms_a"), "script", ScenarioError)
         times = [e.time_s for e in self.events]
         if times != sorted(times):
             raise ScenarioError("events must be sorted by time")
@@ -156,6 +187,38 @@ def _appliance_rng_seed(master_seed: int, appliance_id: str) -> list[int]:
     return [int(master_seed), zlib.crc32(appliance_id.encode("utf-8"))]
 
 
+def _clean_current(model: ApplianceModel, mains: Mains, t: np.ndarray) -> np.ndarray:
+    """Noiseless current of one appliance at the sample times t (seconds).
+
+    Every operation is elementwise in t, so the current over a slice of t is
+    bit for bit that slice of the current over the whole of t."""
+    omega = 2.0 * np.pi * mains.freq_hz
+    v_rms = mains.v_rms
+
+    if model.kind == "resistive":
+        conductance = model.nominal_power_w / v_rms**2
+        return conductance * mains.amplitude_v * np.sin(omega * t)
+    if model.kind == "reactive":
+        i_amp = np.sqrt(2.0) * model.nominal_power_w / v_rms
+        return i_amp * np.sin(omega * t - model.phase_rad)
+    if model.kind == "rectifier":
+        i1_amp = np.sqrt(2.0) * model.nominal_power_w / v_rms
+        i = np.zeros(len(t))
+        for order in sorted(model.harmonic_profile):
+            i += model.harmonic_profile[order] * i1_amp * np.sin(order * omega * t)
+        return i
+    # phase_cut
+    conductance = model.nominal_power_w / v_rms**2
+    i = conductance * mains.amplitude_v * np.sin(omega * t)
+    half_cycle_phase = np.mod(omega * t, np.pi)
+    i[half_cycle_phase < model.cut_angle_rad] = 0.0
+    return i
+
+
+def _noise(rms_a: float, seed: int | list[int], n: int) -> np.ndarray:
+    return np.random.default_rng(seed).normal(0.0, rms_a, size=n)
+
+
 def synth_appliance(
     model: ApplianceModel,
     mains: Mains,
@@ -167,45 +230,28 @@ def synth_appliance(
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * rate_hz))
-    t = np.arange(n) / rate_hz
-    omega = 2.0 * np.pi * mains.freq_hz
-    v_rms = mains.v_rms
-
-    if model.kind == "resistive":
-        conductance = model.nominal_power_w / v_rms**2
-        i = conductance * mains.amplitude_v * np.sin(omega * t)
-    elif model.kind == "reactive":
-        i_amp = np.sqrt(2.0) * model.nominal_power_w / v_rms
-        i = i_amp * np.sin(omega * t - model.phase_rad)
-    elif model.kind == "rectifier":
-        i1_amp = np.sqrt(2.0) * model.nominal_power_w / v_rms
-        i = np.zeros(n)
-        for order in sorted(model.harmonic_profile):
-            i += model.harmonic_profile[order] * i1_amp * np.sin(order * omega * t)
-    else:  # phase_cut
-        conductance = model.nominal_power_w / v_rms**2
-        i = conductance * mains.amplitude_v * np.sin(omega * t)
-        half_cycle_phase = np.mod(omega * t, np.pi)
-        i[half_cycle_phase < model.cut_angle_rad] = 0.0
-
+    i = _clean_current(model, mains, np.arange(n) / rate_hz)
     if model.noise_rms_a > 0:
-        rng = np.random.default_rng(seed)
-        i = i + rng.normal(0.0, model.noise_rms_a, size=n)
+        i = i + _noise(model.noise_rms_a, seed, n)
     return i
 
 
-def _gate_mask(events: list[ScenarioEvent], n_samples: int, rate_hz: int) -> np.ndarray:
-    """1.0 while the appliance is on, 0.0 while off, per sample."""
-    mask = np.zeros(n_samples)
-    state = 0.0
-    prev_idx = 0
+def _on_spans(events: list[ScenarioEvent], n_samples: int, rate_hz: int) -> list[tuple[int, int]]:
+    """The non-empty sample ranges [lo, hi) over which one appliance is on.
+
+    An event switches the state from its sample round(time * rate) on,
+    clamped to the stream's end; the state after the last event holds to
+    the end of the stream."""
+    spans = []
+    on, prev_idx = False, 0
     for ev in events:
         idx = min(int(round(ev.time_s * rate_hz)), n_samples)
-        mask[prev_idx:idx] = state
-        state = 1.0 if ev.action == "on" else 0.0
-        prev_idx = idx
-    mask[prev_idx:] = state
-    return mask
+        if on and idx > prev_idx:
+            spans.append((prev_idx, idx))
+        on, prev_idx = ev.action == "on", idx
+    if on and prev_idx < n_samples:
+        spans.append((prev_idx, n_samples))
+    return spans
 
 
 def synth_scenario(
@@ -216,16 +262,27 @@ def synth_scenario(
 ) -> tuple[SampleStream, LabelTrack]:
     """Aggregate stream plus the per-window label track for a scenario.
 
-    The aggregate current is the elementwise sum of each appliance's gated
-    solo current, so superposition holds exactly under per-appliance seeding.
+    The aggregate current is the elementwise sum of each appliance's solo
+    current over the spans where the appliance is on, so superposition holds
+    exactly under per-appliance seeding. The sines are evaluated on those
+    spans only, which is where the time goes on long scripts. An appliance's
+    noise is still drawn over the whole duration from its own seed and then
+    sliced, so every sample carries the same draw as in a solo run of that
+    appliance, however the script places its spans.
     """
     for ev in script.events:
         if ev.appliance_id not in registry:
             raise ScenarioError(f"unknown appliance id {ev.appliance_id!r}")
 
     n = int(round(script.duration_s * rate_hz))
+    # v and i_total are allocated before the whole-duration temporaries (t,
+    # noise), and the aggregate noise goes into a new array: in this order a
+    # scenario leaves no more freed heap resident in the process than the
+    # whole-duration gate sum did, which set-ups that synthesize several
+    # streams in a row measure
     v = synth_voltage(script.mains, script.duration_s, rate_hz)
     i_total = np.zeros(n)
+    t = np.arange(n) / rate_hz
 
     by_appliance: dict[str, list[ScenarioEvent]] = {}
     for ev in script.events:
@@ -233,15 +290,21 @@ def synth_scenario(
 
     for app_id, events in by_appliance.items():
         model = registry[app_id]
-        solo = synth_appliance(
-            model, script.mains, script.duration_s,
-            seed=_appliance_rng_seed(seed, app_id), rate_hz=rate_hz,
-        )
-        i_total += solo * _gate_mask(events, n, rate_hz)
+        spans = _on_spans(events, n, rate_hz)
+        noise = None
+        if spans and model.noise_rms_a > 0:
+            noise = _noise(model.noise_rms_a, _appliance_rng_seed(seed, app_id), n)
+        for lo, hi in spans:
+            for a in range(lo, hi, SPAN_CHUNK):
+                b = min(a + SPAN_CHUNK, hi)
+                i = _clean_current(model, script.mains, t[a:b])
+                if noise is not None:
+                    i += noise[a:b]
+                i_total[a:b] += i
 
     if script.noise_rms_a > 0:
-        rng = np.random.default_rng(_appliance_rng_seed(seed, "__aggregate__"))
-        i_total = i_total + rng.normal(0.0, script.noise_rms_a, size=n)
+        rng_seed = _appliance_rng_seed(seed, "__aggregate__")
+        i_total = i_total + _noise(script.noise_rms_a, rng_seed, n)
 
     n_windows = n // WINDOW_SAMPLES
     window_s = WINDOW_SAMPLES / rate_hz

@@ -7,12 +7,15 @@ feature count that stays within the accuracy drop tolerance while fitting
 the hardware budget.
 
 Each result is a dataclass whose JSON document is its fields
-(``records.dumps``), so ``MdaReport.from_json`` is the constructor itself.
+(``records.dumps``). ``MdaReport.from_json`` builds the record from a
+document that carries exactly those fields, each of the type it was written
+with; any other document raises ``ValueError`` naming the key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from ..cost import CostProfile, CostReport, cost_report
 from ..models.base import classify_matrix
-from ..records import dumps, jsonable
+from ..records import dumps, jsonable, record_fields
 from .dataset import Dataset
 from .metrics import evaluate
 from .trainers import MODEL_KINDS, train_model
@@ -191,7 +194,36 @@ class MdaReport:
 
     @classmethod
     def from_json(cls, text: str) -> "MdaReport":
-        return cls(**json.loads(text))
+        """Parse an MDA document; a malformed one raises ValueError naming the key."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"MDA report is not JSON: {exc}") from None
+        doc = record_fields(cls, doc, "MDA report")
+        for key, ok in _MDA_VALUES.items():
+            if not ok(doc[key]):
+                raise ValueError(f"MDA report {key}: unexpected value {doc[key]!r}")
+        return cls(**doc)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
+# what each key of an MDA document must hold for MdaReport to be built from it
+_MDA_VALUES = {
+    "baseline_accuracy": lambda v: _is_number(v) and 0 <= v <= 1,
+    "importances": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "ranking": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "repetitions": lambda v: _is_int(v) and v >= 1,
+    "seed": _is_int,
+    "kind": lambda v: v in MODEL_KINDS,
+    "params": lambda v: isinstance(v, dict),
+}
 
 
 def mda_rank(

@@ -7,6 +7,7 @@ that shares none of their structure.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -106,6 +107,39 @@ def random_tree(rng, f, n_classes, depth=3) -> TreeNodes:
 def random_rf(rng, n_trees=20, f=5, n_classes=3, depth=4) -> RfModel:
     return RfModel(**_common(n_classes, f), scaler=None,
                    trees=tuple(random_tree(rng, f, n_classes, depth) for _ in range(n_trees)))
+
+
+# --- JSON document mutations -------------------------------------------------------
+
+def leaf_paths(doc, prefix=()):
+    """Every (key, ...) path to a value that is not an object."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def edited(doc, path, value=None, drop=False) -> str:
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+BAD_VALUES = (float("nan"), -1, "x", [], None)
 
 
 # --- brute-force prediction oracles ---------------------------------------------
@@ -397,3 +431,40 @@ def label_track_oracle(script, rate_hz: int):
         if j < n_windows:
             toggles.setdefault(j, []).append((ev.appliance_id, ev.action))
     return LabelTrack(active=tuple(active), toggles={j: tuple(v) for j, v in toggles.items()})
+
+
+def synth_scenario_oracle(script, registry, seed: int = 0, rate_hz: int = 10_000):
+    """A scenario the whole-duration way: every appliance's solo current,
+    noise included, over the whole duration, times a 0/1 gate per sample,
+    summed in the order of the appliances' first events; then the
+    aggregate noise, and the loop label track."""
+    import zlib
+
+    from nilmedge.signals import SampleStream
+    from nilmedge.synth import synth_appliance, synth_voltage
+
+    def child_seed(name):
+        return [int(seed), zlib.crc32(name.encode("utf-8"))]
+
+    n = int(round(script.duration_s * rate_hz))
+    v = synth_voltage(script.mains, script.duration_s, rate_hz)
+    i_total = np.zeros(n)
+    by_appliance: dict = {}
+    for ev in script.events:
+        by_appliance.setdefault(ev.appliance_id, []).append(ev)
+    for app_id, events in by_appliance.items():
+        solo = synth_appliance(registry[app_id], script.mains, script.duration_s,
+                               seed=child_seed(app_id), rate_hz=rate_hz)
+        mask = np.zeros(n)
+        state, prev_idx = 0.0, 0
+        for ev in events:
+            idx = min(int(round(ev.time_s * rate_hz)), n)
+            mask[prev_idx:idx] = state
+            state = 1.0 if ev.action == "on" else 0.0
+            prev_idx = idx
+        mask[prev_idx:] = state
+        i_total += solo * mask
+    if script.noise_rms_a > 0:
+        rng = np.random.default_rng(child_seed("__aggregate__"))
+        i_total = i_total + rng.normal(0.0, script.noise_rms_a, size=n)
+    return SampleStream(v=v, i=i_total, rate_hz=rate_hz), label_track_oracle(script, rate_hz)

@@ -9,6 +9,7 @@ from nilmedge.models.io import load_model
 from nilmedge.pipeline import window_dataset
 from nilmedge.sampleio import load_samples, save_samples
 from nilmedge.signals import window_stream
+from nilmedge.train import MdaReport
 from nilmedge.train.dataset import save_dataset
 
 
@@ -84,6 +85,21 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--script", str(script), "--out", str(tmp_path))
         assert code == 2
         assert "line" in err
+
+
+    def test_synth_writes_only_named_formats(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--scenario", "single7", "--format", "auto", "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["extract", "classify"])
+    def test_readers_keep_auto(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "{csv,bin,auto}" in capsys.readouterr().out
 
 
 class TestExtract:
@@ -179,6 +195,19 @@ class TestMdaAndSweep:
         assert code == 0 and "seed: 2" in text
         doc = json.loads(out.read_text())
         assert sorted(doc["ranking"]) == list(range(103))
+
+    def test_mda_report_file_reads_back(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "mda.json"
+        code, _, _ = run(capsys, "mda", "--dataset", str(dataset_file),
+                         "--kind", "knn", "--k", "3", "--repetitions", "1",
+                         "--seed", "4", "--out", str(out))
+        assert code == 0
+        report = MdaReport.from_json(out.read_text())
+        assert report.to_json() == out.read_text()
+        assert (report.kind, report.seed, report.params) == ("knn", 4, {"k": 3})
+        truncated = out.read_text()[:-2]
+        with pytest.raises(ValueError, match="not JSON"):
+            MdaReport.from_json(truncated)
 
     def test_sweep_fast_mode(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "sweep.json"

@@ -4,7 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_knn, random_mlp, random_rf, random_svm
+from helpers import (
+    BAD_VALUES,
+    edited,
+    key_paths,
+    leaf_paths,
+    random_knn,
+    random_mlp,
+    random_rf,
+    random_svm,
+)
 from nilmedge.cost import (
     CORTEX_M4_PAPER,
     CostProfile,
@@ -248,37 +257,6 @@ class TestReportsAndProfiles:
 
 def profile_doc() -> dict:
     return json.loads(profile_to_json(PROFILE))
-
-
-def leaf_paths(doc, prefix=()):
-    """Every (key, ...) path to a value that is not an object."""
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            yield from leaf_paths(value, prefix + (key,))
-        else:
-            yield prefix + (key,)
-
-
-def key_paths(doc, prefix=()):
-    for key, value in doc.items():
-        yield prefix + (key,)
-        if isinstance(value, dict):
-            yield from key_paths(value, prefix + (key,))
-
-
-def edited(doc, path, value=None, drop=False) -> str:
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if drop:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return json.dumps(doc)
-
-
-BAD_VALUES = (float("nan"), -1, "x", [], None)
 
 
 class TestMalformedProfiles:

@@ -11,7 +11,17 @@ import json
 import numpy as np
 import pytest
 
-from helpers import blob_dataset, random_knn, random_mlp, random_rf, random_svm
+from helpers import (
+    BAD_VALUES,
+    blob_dataset,
+    edited,
+    key_paths,
+    leaf_paths,
+    random_knn,
+    random_mlp,
+    random_rf,
+    random_svm,
+)
 from nilmedge.cli import main
 from nilmedge.cost import CORTEX_M4_PAPER, cost_report, profile_to_json
 from nilmedge.train import (
@@ -119,3 +129,64 @@ def test_mda_round_trip():
     tr, te = split()
     report = mda_rank("knn", {"k": 3}, tr, te, repetitions=2, seed=3)
     assert MdaReport.from_json(report.to_json()) == report
+
+
+def mda_doc() -> dict:
+    tr, te = split()
+    return json.loads(mda_rank("knn", {"k": 3}, tr, te, repetitions=2, seed=3).to_json())
+
+
+class TestMalformedMdaReports:
+    @pytest.mark.parametrize("text,key", [
+        ("not json", "not JSON"),
+        ("[]", "JSON object"),
+        ("null", "JSON object"),
+        ('{"x": 1}', "unknown keys"),
+        (edited(mda_doc(), ("seed",), drop=True), "seed"),
+        (edited(mda_doc(), ("note",), "x"), "note"),
+        (edited(mda_doc(), ("ranking",), 3), "ranking"),
+        (edited(mda_doc(), ("ranking",), "0123"), "ranking"),
+        (edited(mda_doc(), ("ranking",), [0, "1", 2, 3]), "ranking"),
+        (edited(mda_doc(), ("ranking",), [0, 0, 1, 2]), "ranking"),
+        (edited(mda_doc(), ("importances",), {"0": 1.0}), "importances"),
+        (edited(mda_doc(), ("importances",), [0.0, [], 0.0, 0.0]), "importances"),
+        (edited(mda_doc(), ("baseline_accuracy",), float("nan")), "baseline_accuracy"),
+        (edited(mda_doc(), ("repetitions",), 0), "repetitions"),
+        (edited(mda_doc(), ("seed",), True), "seed"),
+        (edited(mda_doc(), ("params",), None), "params"),
+        (edited(mda_doc(), ("kind",), "tree"), "kind"),
+        (edited(mda_doc(), ("baseline_accuracy",), 10**400), "baseline_accuracy"),
+    ], ids=["not-json", "list", "null", "unknown-only", "missing-key", "unknown-key",
+            "ranking-number", "ranking-string", "ranking-entry", "ranking-repeat",
+            "importances-object", "importances-entry", "nan-accuracy", "zero-repetitions",
+            "bool-seed", "params-null", "unknown-kind", "huge-accuracy"])
+    def test_rejected_with_value_error_naming_the_key(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            MdaReport.from_json(text)
+
+    def test_seeded_fuzz_raises_only_value_error(self):
+        """Truncations, dropped keys and values swapped for odd ones. What
+        params holds is free-form and any integer is a seed; every other
+        mutant is invalid."""
+        doc = mda_doc()
+        text = json.dumps(doc)
+        leaves = list(leaf_paths(doc))
+        keys = list(key_paths(doc))
+        rng = np.random.default_rng(2025)
+        for trial in range(600):
+            mode = trial % 3
+            if mode == 0:
+                mutated, must_fail = text[:int(rng.integers(0, len(text)))], True
+            elif mode == 1:
+                path = keys[rng.integers(len(keys))]
+                mutated, must_fail = edited(doc, path, drop=True), len(path) == 1
+            else:
+                path = leaves[rng.integers(len(leaves))]
+                value = BAD_VALUES[rng.integers(len(BAD_VALUES))]
+                valid = len(path) > 1 or (path, value) == (("seed",), -1)
+                mutated, must_fail = edited(doc, path, value), not valid
+            try:
+                MdaReport.from_json(mutated)
+            except ValueError:
+                continue
+            assert not must_fail, mutated

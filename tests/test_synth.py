@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import label_track_oracle
+from helpers import assert_same_bits, label_track_oracle, synth_scenario_oracle
 from nilmedge.features import apparent_power, extract_features, real_power
+from nilmedge.scenarios import SCENARIO_IDS, builtin_scenario
 from nilmedge.signals import SampleWindow, window_stream
 from nilmedge.synth import (
     ApplianceModel,
@@ -323,3 +324,148 @@ class TestMains:
         text = TestScriptFiles.SCRIPT.replace("mains_freq_hz: 50", "mains_freq_hz: 60")
         script, _ = parse_scenario_script(text)
         assert script.mains == Mains(amplitude_v=325.0, freq_hz=60.0)
+
+
+# one load of every kind; noise on some of them, so that per-appliance and
+# aggregate noise both meet the spans
+SPAN_REGISTRY = {
+    "heater": ApplianceModel(kind="resistive", nominal_power_w=150.0, noise_rms_a=0.01),
+    "fan": ApplianceModel(kind="reactive", nominal_power_w=60.0, phase_rad=0.4),
+    "charger": ApplianceModel(kind="rectifier", nominal_power_w=25.0,
+                              harmonic_profile={1: 1.0, 3: 0.6, 5: 0.3, 9: 0.1},
+                              noise_rms_a=0.02),
+    "dimmer": ApplianceModel(kind="phase_cut", nominal_power_w=40.0, cut_angle_rad=1.1,
+                             noise_rms_a=0.015),
+    "lamp": ApplianceModel(kind="resistive", nominal_power_w=25.0),
+}
+
+
+def random_span_script(rng, rate_hz: int) -> ScenarioScript:
+    """Random toggles of heater, fan and charger, plus every edge case of
+    the span rule: events at 0 s, at the duration and past it, two events
+    on one sample, on->on and off->off repeats, an off before any on, an
+    on/off pair that rounds to an empty span, and a load still on at the
+    end."""
+    apps = sorted(SPAN_REGISTRY)
+    dt = 1.0 / rate_hz
+    duration = float(rng.uniform(0.3, 2.0))
+    n = int(round(duration * rate_hz))
+
+    def pick():
+        return apps[int(rng.integers(len(apps)))]
+
+    def sample_time():
+        return int(rng.integers(1, n - 1)) * dt
+
+    events = [(float(t), ("heater", "fan", "charger")[int(rng.integers(3))],
+               ("on", "off")[int(rng.integers(2))])
+              for t in rng.uniform(0.0, duration, size=int(rng.integers(2, 12)))]
+    k = sample_time()
+    t1, t2, t3, t4 = sorted(rng.uniform(0.0, duration, size=4))
+    events += [
+        (0.0, pick(), "on"),
+        (duration, pick(), ("on", "off")[int(rng.integers(2))]),
+        (duration + float(rng.uniform(0.0, 0.5)), pick(), "off"),
+        (k, pick(), "on"), (k + 0.3 * dt, pick(), "off"),
+        (t1, "dimmer", "off"), (t2, "dimmer", "on"), (t3, "dimmer", "on"), (t4, "dimmer", "off"),
+        (t4 + 0.01, "dimmer", "off"),
+        (sample_time() + 0.1 * dt, "lamp", "on"), (sample_time() + 0.1 * dt, "lamp", "off"),
+    ]
+    e = sample_time()
+    events += [(e + 0.1 * dt, "lamp", "on"), (e + 0.3 * dt, "lamp", "off")]
+    events += [(float(rng.uniform(0.0, duration)), "lamp", "on")]
+    events.sort(key=lambda ev: ev[0])  # stable: same-time events keep their order
+    return ScenarioScript(mains=MAINS,
+                          events=tuple(ScenarioEvent(t, a, x) for t, a, x in events),
+                          duration_s=duration,
+                          noise_rms_a=(0.0, 0.03)[int(rng.integers(2))])
+
+
+def assert_same_scenario(script, registry, seed, rate_hz):
+    stream, track = synth_scenario(script, registry, seed=seed, rate_hz=rate_hz)
+    want, want_track = synth_scenario_oracle(script, registry, seed=seed, rate_hz=rate_hz)
+    assert stream.rate_hz == want.rate_hz
+    assert_same_bits(stream.v, want.v)
+    assert_same_bits(stream.i, want.i)
+    assert track == want_track
+
+
+class TestSpanSynthesis:
+    """synth_scenario evaluates each load only where it is on; the samples
+    must be bit for bit those of the whole-duration gate oracle."""
+
+    @pytest.mark.parametrize("rate_hz", [10_000, 20_000])
+    @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+    def test_builtin_scenarios_match_gate_oracle(self, scenario_id, rate_hz):
+        script, registry = builtin_scenario(scenario_id, seed=4)
+        assert_same_scenario(script, registry, seed=4, rate_hz=rate_hz)
+
+    @pytest.mark.parametrize("rate_hz", [10_000, 20_000])
+    def test_random_scripts_match_gate_oracle(self, rate_hz):
+        rng = np.random.default_rng(rate_hz + 1)
+        for trial in range(20):
+            script = random_span_script(rng, rate_hz)
+            assert_same_scenario(script, SPAN_REGISTRY, seed=trial, rate_hz=rate_hz)
+
+    def test_a_load_left_on_runs_to_the_end(self):
+        def fan_on_at(time_s):
+            script = ScenarioScript(mains=MAINS, events=(ScenarioEvent(time_s, "fan", "on"),),
+                                    duration_s=0.2)
+            return synth_scenario(script, REGISTRY, seed=1)[0].i
+
+        late, early = fan_on_at(0.05), fan_on_at(0.0)
+        assert np.all(late[:500] == 0.0)
+        np.testing.assert_array_equal(late[500:], early[500:])
+
+    def test_events_past_the_end_are_clamped(self):
+        script = ScenarioScript(mains=MAINS, events=(
+            ScenarioEvent(0.1, "heater", "on"), ScenarioEvent(0.5, "heater", "off"),
+            ScenarioEvent(0.7, "fan", "on"),
+        ), duration_s=0.3)
+        stream, _ = synth_scenario(script, REGISTRY, seed=2)
+        assert len(stream) == 3000
+        assert np.all(stream.i[:1000] == 0.0) and np.all(stream.i[1000:] != 0.0)
+
+    def test_off_periods_are_exact_zeros(self):
+        script = ScenarioScript(mains=MAINS, events=(
+            ScenarioEvent(0.0, "heater", "off"), ScenarioEvent(0.1, "heater", "on"),
+            ScenarioEvent(0.2, "heater", "off"), ScenarioEvent(0.2, "fan", "on"),
+            ScenarioEvent(0.2, "fan", "off"),
+        ), duration_s=0.4)
+        stream, _ = synth_scenario(script, REGISTRY, seed=0)
+        on = np.zeros(len(stream), dtype=bool)
+        on[1000:2000] = True
+        assert np.all(stream.i[~on] == 0.0) and not np.any(np.signbit(stream.i[~on]))
+        assert np.all(stream.i[on] != 0.0)
+
+
+class TestNonFiniteModelsRejected:
+    @pytest.mark.parametrize("field, value", [
+        ("nominal_power_w", np.inf), ("nominal_power_w", np.nan),
+        ("phase_rad", np.nan), ("phase_rad", -np.inf),
+        ("noise_rms_a", np.nan), ("noise_rms_a", np.inf),
+    ])
+    def test_appliance(self, field, value):
+        args = dict(kind="reactive", nominal_power_w=10.0, phase_rad=0.3, noise_rms_a=0.01)
+        with pytest.raises(ValueError, match=f"appliance {field} must be finite"):
+            ApplianceModel(**{**args, field: value})
+
+    @pytest.mark.parametrize("order", [np.nan, 3.0, "3"])
+    def test_harmonic_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError, match="harmonic orders"):
+            ApplianceModel(kind="rectifier", nominal_power_w=10.0,
+                           harmonic_profile={1: 1.0, order: 0.5})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_event_time(self, value):
+        with pytest.raises(ScenarioError, match="event time_s must be finite"):
+            ScenarioEvent(value, "heater", "on")
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", np.inf), ("duration_s", np.nan),
+        ("noise_rms_a", np.nan), ("noise_rms_a", np.inf),
+    ])
+    def test_script(self, field, value):
+        args = dict(mains=MAINS, events=(), duration_s=1.0, noise_rms_a=0.0)
+        with pytest.raises(ScenarioError, match=f"script {field} must be finite"):
+            ScenarioScript(**{**args, field: value})
