@@ -134,6 +134,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _importance_note(report) -> str:
+    note = f"{report.nonzero} of {len(report.importances)} importances non-zero; "
+    if report.nonzero == 0:
+        return note + "the tie rule (lower index first) set the whole ranking"
+    if report.tied:
+        return note + (f"the tie rule (lower index first) ordered {report.tied} "
+                       "features that share an importance")
+    return note + "no two importances tie"
+
+
 def cmd_mda(args) -> int:
     _echo_seed(args.seed)
     d = load_dataset(args.dataset)
@@ -142,6 +152,7 @@ def cmd_mda(args) -> int:
                       repetitions=args.repetitions, seed=args.seed)
     out = args.out or "mda.json"
     Path(out).write_text(report.to_json())
+    print(_importance_note(report))
     print(f"wrote {out}; baseline accuracy {report.baseline_accuracy:.4f}, "
           f"top features {list(report.ranking[:5])}")
     return 0
@@ -155,6 +166,7 @@ def cmd_sweep(args) -> int:
     params = _hyperparams(args, args.kind)
     report_mda = mda_rank(args.kind, params, train_part, test_part,
                           repetitions=args.repetitions, seed=args.seed)
+    print(_importance_note(report_mda))
     counts = [int(s) for s in args.counts.split(",")] if args.counts else None
     report = sweep_feature_count(
         train_part, test_part, args.kind, report_mda, profile,

@@ -14,6 +14,12 @@ leaf early stays there. This is the "perfect tree traversal" of Hummingbird
 (Nakandala et al., OSDI 2020). Each tree's worst-case depth is found once,
 one level at a time over the whole table, when the table is built; the step
 count and the cost model's comparison count both read it.
+
+`NodeTable.leaf_classes` can route a subset of the trees, in as many steps
+as the deepest of them takes. Permutation importance uses it through
+`RfModel.column_predictor`: a shuffled column can move only the rows of the
+trees that split on it, so those trees alone are routed again and their
+votes swapped in the integer vote counts of the unshuffled rows.
 """
 
 from __future__ import annotations
@@ -144,18 +150,43 @@ class NodeTable:
             width=width,
         )
 
-    def leaf_classes(self, x: np.ndarray) -> np.ndarray:
-        """(rows, trees) leaf class reached by every (row, tree) pair of x."""
+    def leaf_classes(self, x: np.ndarray, trees: np.ndarray | None = None) -> np.ndarray:
+        """(rows, trees) leaf class reached by every (row, tree) pair of x;
+        with `trees`, by the trees of those ids only, in that order, in as
+        many steps as the deepest of them takes."""
         x = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
         if x.shape[1] < self.width:
             raise ValueError(f"expected at least {self.width} features, got {x.shape[1]}")
+        roots, steps = self.roots, self.steps
+        if trees is not None:
+            roots = roots[trees]
+            steps = int(self.depths[trees].max(initial=0))
         flat = x.ravel()
         row_start = (np.arange(x.shape[0]) * x.shape[1])[:, None]
-        pos = np.broadcast_to(self.roots, (x.shape[0], self.roots.size))
-        for _ in range(self.steps):
+        pos = np.broadcast_to(roots, (x.shape[0], roots.size))
+        for _ in range(steps):
             go_left = flat[row_start + self.feature[pos]] <= self.threshold[pos]
             pos = np.where(go_left, self.left[pos], self.right[pos])
         return self.leaf_class[pos]
+
+    def trees_using(self, feature: int) -> np.ndarray:
+        """Ascending ids of the trees that split on `feature`."""
+        nodes = np.flatnonzero((self.feature == feature) & (self.leaf_class == LEAF))
+        uses = np.zeros(self.roots.size, dtype=bool)
+        uses[np.searchsorted(self.roots, nodes, side="right") - 1] = True
+        return np.flatnonzero(uses)
+
+
+def _votes(leaf: np.ndarray, n_classes: int) -> np.ndarray:
+    """For (rows, trees) leaf classes, the (rows, classes) count of the
+    trees that reach each class."""
+    n = leaf.shape[0]
+    cells = (np.arange(n)[:, None] * n_classes + leaf).ravel()
+    return np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
+
+
+def _majority(votes: np.ndarray) -> np.ndarray:
+    return np.argmax(votes, axis=1).astype(np.int64)  # first max = lowest id
 
 
 @dataclass(frozen=True)
@@ -188,7 +219,34 @@ class RfModel(BaseModel):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {x.shape[1]}")
+        return _majority(_votes(self.table.leaf_classes(x), self.n_classes))
+
+    def column_predictor(self, matrix_full: np.ndarray):
+        """A function (column, values) -> the class ids of `matrix_full`,
+        full-layout rows, with its `column` replaced by `values`. It equals
+        `classify_matrix` on that matrix, but routes only the trees that
+        split on the column: the rows' leaves and votes are found once
+        here, and each call swaps those trees' old votes for their new
+        ones. A column the model does not select, or no tree splits on,
+        leaves the prediction for `matrix_full`."""
+        x = self.prepare_matrix(matrix_full)
         leaf = self.table.leaf_classes(x)
-        n, c = x.shape[0], self.n_classes
-        votes = np.bincount((np.arange(n)[:, None] * c + leaf).ravel(), minlength=n * c)
-        return np.argmax(votes.reshape(n, c), axis=1).astype(np.int64)  # first max = lowest id
+        votes = _votes(leaf, self.n_classes)
+        base = _majority(votes)
+        position = {c: k for k, c in enumerate(self.selected_indices)}
+
+        def predict(column: int, values: np.ndarray) -> np.ndarray:
+            k = position.get(column)
+            trees = self.table.trees_using(k) if k is not None else ()
+            if len(trees) == 0:
+                return base.copy()
+            values = np.asarray(values, dtype=np.float64)
+            if self.scaler is not None:
+                values = (values - self.scaler.mean[k]) / self.scaler.std[k]
+            varied = x.copy()
+            varied[:, k] = values
+            new = self.table.leaf_classes(varied, trees)
+            return _majority(votes - _votes(leaf[:, trees], self.n_classes)
+                             + _votes(new, self.n_classes))
+
+        return predict

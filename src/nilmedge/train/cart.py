@@ -9,9 +9,14 @@ the parent impurity. Per-tree RNG streams derive from (seed, tree index), so
 training is reproducible and order-independent.
 
 Split search scores the whole (rows, candidates) block at once: one stable
-sort per column, one running class count, and the Gini at cut positions
-only. Ties go to the first cut in a column, then to the first candidate, as
-a per-feature loop that keeps the first strictly better split would pick.
+sort per column, then the Gini at cut positions only, from running sums of
+squared class counts (see `_split_search`). No (rows, candidates, classes)
+count array is built, yet every score has the bits that per-class running
+counts give. Labels are narrowed once per tree, so the per-node class sort
+is a radix sort, and the node's class counts, which growing the tree needs
+anyway, are passed in. Ties go to the first cut in a column, then to the
+first candidate, as a per-feature loop that keeps the first strictly
+better split would pick.
 
 Trees grow on every usable CPU (`os.sched_getaffinity`), in contiguous
 shares of the tree indices. The calling process grows the first share
@@ -57,25 +62,42 @@ def _majority(counts: np.ndarray) -> int:
 
 def _best_split(x, y, feature_ids, n_classes):
     """Best (feature, threshold, weighted child Gini) over the candidates,
-    or None when every candidate column is constant. Positions that are not
-    cuts score inf, and argmin's first hit gives the tie rules."""
-    n = y.size
-    parent_counts = np.bincount(y, minlength=n_classes)
-    block = x[:, feature_ids]  # (n, k)
+    or None when every candidate column is constant."""
+    return _split_search(x, y, feature_ids, np.bincount(y, minlength=n_classes))
+
+
+def _split_search(x, y, feature_ids, parent_counts):
+    """`_best_split` for a node whose class counts the caller already has.
+
+    A cut's Gini needs only the sum of squared class counts on each side.
+    On the left that sum grows by 2r + 1 when a row joins that is preceded
+    by r rows of its class; a stable sort of the classes in x order lists
+    each class's rows in x order, so r is a row's place in that list. The
+    right side's sum is sum(P^2) - 2 L.P + sum(L^2) for parent counts P
+    and left counts L. Every sum is a whole number, exact in float64, so
+    the scores are those of per-class running counts. Positions that are
+    not cuts score inf, and argmin's first hit gives the tie rules."""
+    block = x[:, feature_ids]
+    n, k = block.shape
     order = np.argsort(block, axis=0, kind="stable")
-    xs = np.take_along_axis(block, order, axis=0)
+    xs = block[order, np.arange(k)]
     is_cut = xs[:-1] < xs[1:]  # split after position i
     if not is_cut.any():
         return None
-    left = np.cumsum(np.eye(n_classes)[y[order]], axis=0)[:-1]  # (n-1, k, C)
-    right = parent_counts - left
+    classes = y[order]  # (n, k) class of each row in x order
+    place = np.arange(n) - np.repeat(np.cumsum(parent_counts) - parent_counts, parent_counts)
+    rise = np.empty((n, k), dtype=np.int64)  # 2r + 1, r: earlier rows of the same class
+    rise[np.argsort(classes, axis=0, kind="stable"), np.arange(k)] = (2 * place + 1)[:, None]
+    left_sq = np.cumsum(rise[:-1], axis=0)  # (n-1, k)
+    left_dot = np.cumsum(parent_counts[classes[:-1]], axis=0)
+    right_sq = left_sq - 2 * left_dot + int(parent_counts @ parent_counts)
     nl = np.arange(1.0, n)[:, None]
     nr = n - nl
-    gini_l = 1.0 - np.einsum("ijc,ijc->ij", left, left) / (nl * nl)
-    gini_r = 1.0 - np.einsum("ijc,ijc->ij", right, right) / (nr * nr)
+    gini_l = 1.0 - left_sq / (nl * nl)
+    gini_r = 1.0 - right_sq / (nr * nr)
     weighted = np.where(is_cut, (nl * gini_l + nr * gini_r) / n, np.inf)
     rows = np.argmin(weighted, axis=0)  # first minimum per column
-    col = int(np.argmin(weighted[rows, np.arange(rows.size)]))
+    col = int(np.argmin(weighted[rows, np.arange(k)]))
     cut = rows[col]
     threshold = (xs[cut, col] + xs[cut + 1, col]) / 2.0
     return int(feature_ids[col]), float(threshold), float(weighted[cut, col])
@@ -87,6 +109,7 @@ def _grow_tree(x, y, n_classes, max_depth, n_candidates, rng) -> TreeNodes:
     left: list[int] = []
     right: list[int] = []
     leaf_class: list[int] = []
+    y = y.astype(np.min_scalar_type(n_classes - 1))  # a narrow type sorts by radix
 
     def new_node() -> int:
         feature.append(LEAF)
@@ -107,7 +130,7 @@ def _grow_tree(x, y, n_classes, max_depth, n_candidates, rng) -> TreeNodes:
             leaf_class[node] = _majority(counts)
             return node
         candidates = rng.choice(x.shape[1], size=n_candidates, replace=False)
-        split = _best_split(x, y, candidates, n_classes)
+        split = _split_search(x, y, candidates, counts)
         if split is None or split[2] >= _gini(counts) - _IMPROVEMENT_EPS:
             leaf_class[node] = _majority(counts)
             return node

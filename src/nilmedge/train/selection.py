@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from ..cost import CostProfile, CostReport, cost_report
 from ..models.base import classify_matrix
+from ..models.forest import RfModel
 from ..records import dumps, jsonable, record_fields
 from .dataset import Dataset
 from .metrics import evaluate
@@ -189,6 +191,18 @@ class MdaReport:
         if sorted(self.ranking) != list(range(len(self.importances))):
             raise ValueError("ranking must be a permutation of the feature indices")
 
+    @property
+    def nonzero(self) -> int:
+        """How many importances are not zero."""
+        return sum(v != 0 for v in self.importances)
+
+    @property
+    def tied(self) -> int:
+        """How many features share their importance with another, so that
+        the tie rule (lower index first) placed them in the ranking."""
+        counts = Counter(self.importances)  # -0.0 and 0.0 are one key
+        return sum(counts[v] > 1 for v in self.importances)
+
     def to_json(self) -> str:
         return dumps(self)
 
@@ -226,6 +240,18 @@ _MDA_VALUES = {
 }
 
 
+def _check_splits(train: Dataset, test: Dataset) -> None:
+    """A model trained on `train` can score `test` row for row."""
+    if test.n_features != train.n_features:
+        raise ValueError(f"the test split has {test.n_features} features, "
+                         f"the training split {train.n_features}")
+    if test.layout != train.layout:
+        raise ValueError("the test split's feature layout differs from the training split's")
+    if test.class_names != train.class_names:
+        raise ValueError(f"the test split's classes {list(test.class_names)} differ from "
+                         f"the training split's {list(train.class_names)}")
+
+
 def mda_rank(
     kind: str,
     params: dict,
@@ -239,20 +265,32 @@ def mda_rank(
     The model is trained exactly once on the full vector; each feature's
     test column is then shuffled `repetitions` times (fresh permutation per
     repetition) and the accuracy loss against the baseline is averaged.
-    Ranking sorts by descending importance, lower index first on ties."""
+    Ranking sorts by descending importance, lower index first on ties.
+
+    A forest routes the test rows once; each shuffle then routes only the
+    trees that split on the shuffled column and swaps their votes, through
+    `RfModel.column_predictor`. The votes are integer counts, so its
+    predictions are those of `classify_matrix` on the shuffled rows, which
+    the other kinds call."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    _check_splits(train, test)
     model = train_model(kind, train, params, seed=derive_seed(seed, 0xBA5E))
     baseline = float(np.mean(classify_matrix(model, test.x) == test.y))
+    if isinstance(model, RfModel):
+        predict = model.column_predictor(test.x)
+    else:
+        def predict(f: int, values: np.ndarray) -> np.ndarray:
+            shuffled = test.x.copy()
+            shuffled[:, f] = values
+            return classify_matrix(model, shuffled)
     n_features = train.n_features
     importances = np.zeros(n_features)
     for f in range(n_features):
         drop = 0.0
         for rep in range(repetitions):
             rng = np.random.default_rng([seed, f, rep])
-            shuffled = test.x.copy()
-            shuffled[:, f] = shuffled[rng.permutation(test.n), f]
-            acc = float(np.mean(classify_matrix(model, shuffled) == test.y))
+            acc = float(np.mean(predict(f, test.x[rng.permutation(test.n), f]) == test.y))
             drop += baseline - acc
         importances[f] = drop / repetitions
     order = np.lexsort((np.arange(n_features), -importances))
@@ -334,6 +372,7 @@ def sweep_feature_count(
     point is the smallest count whose accuracy is within drop_tolerance of
     the sweep maximum and whose cost report fits the profile; when no point
     fits, the best-effort point is reported with feasible=False."""
+    _check_splits(train, test)
     if len(mda.ranking) != train.n_features:
         raise ValueError("the MDA ranking must cover every feature")
     if fixed_params is None and grid is None:

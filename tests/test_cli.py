@@ -283,3 +283,39 @@ class TestFormatAndDataErrors:
         bad.write_text("[]")
         code, _, err = run(capsys, "cost", "--model", str(rf_model), "--profile", str(bad))
         assert code == 2 and "cost-profile" in err
+
+
+class TestImportanceNote:
+    """mda and sweep say how many importances are non-zero and whether the
+    tie rule (lower index first) ordered the ranking."""
+
+    @pytest.fixture(scope="class")
+    def blobs_file(self, tmp_path_factory):
+        from helpers import blob_dataset
+        path = tmp_path_factory.mktemp("blobs") / "blobs.csv"
+        save_dataset(blob_dataset(n_classes=3, per_class=20, n_features=4, spread=4.0, seed=2), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["mda", "sweep"])
+    def test_all_zero_forest_says_the_tie_rule_ranked(self, blobs_file, tmp_path, command, capsys):
+        extra = ["--fast", "--counts", "1,2", "--csv-out", str(tmp_path / "p.csv")] if command == "sweep" else []
+        code, text, _ = run(capsys, command, "--dataset", str(blobs_file), "--kind", "rf",
+                            "--trees", "3", "--depth", "0", "--repetitions", "2", "--seed", "1",
+                            "--out", str(tmp_path / "out.json"), *extra)
+        assert code == 0
+        assert ("0 of 4 importances non-zero; the tie rule (lower index first) "
+                "set the whole ranking") in text.splitlines()
+
+    def test_informative_forest_counts_non_zero(self, blobs_file, tmp_path, capsys):
+        out = tmp_path / "mda.json"
+        code, text, _ = run(capsys, "mda", "--dataset", str(blobs_file), "--kind", "rf",
+                            "--trees", "10", "--depth", "3", "--repetitions", "2", "--seed", "3",
+                            "--out", str(out))
+        assert code == 0
+        report = MdaReport.from_json(out.read_text())
+        nonzero = sum(v != 0 for v in report.importances)
+        assert nonzero > 0
+        note = next(line for line in text.splitlines() if "importances non-zero" in line)
+        assert note.startswith(f"{nonzero} of 4 importances non-zero; ")
+        ties = len(report.importances) - len(set(report.importances))
+        assert ("no two importances tie" in note) == (ties == 0)

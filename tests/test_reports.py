@@ -42,6 +42,7 @@ GOLDEN = {
     "cost_rf": "03d03ba2ac258ccb0bbd01cee01077780ebeea2b7c40996edbebf4b3a4e4ca39",
     "mda_knn": "24093028b74ace71ef2fdf0a52d6ca6de4bb9f502339aa8190d72023047e351c",
     "mda_mlp": "80b276429d727d41f841f6aab228bbf37d260252a194448c7c37f88e9d7a5c17",
+    "mda_rf": "9d3bdd63118d27d81431575462e4c7a8e33861253d341be5f6cf31029101e9a5",
     "grid_knn": "e6b286591dfc74566f6854da89a3183b8ea4d2eb55951265ce89ca41d9492855",
     "grid_rf": "33258bad921cbdd6d699e93293b67244e69d8103d69a662630bf81ad5b796aa1",
     "sweep_json": "5df9b2b1c2b87faa758ed3df74501a5106f392d2a4e8d03c6f264b6669442c8a",
@@ -93,6 +94,15 @@ def test_mda_document(kind, params):
     tr, te = split()
     report = mda_rank(kind, params, tr, te, repetitions=2, seed=3)
     assert sha(report.to_json()) == GOLDEN[f"mda_{kind}"]
+
+
+def test_mda_rf_document():
+    """A forest whose importances are non-zero, one of them negative. The
+    digest was taken while every shuffle still routed every tree."""
+    tr, te = split()
+    report = mda_rank("rf", {"n_trees": 10, "max_depth": 3}, tr, te, repetitions=2, seed=3)
+    assert len(set(report.importances)) == 4 and min(report.importances) < 0
+    assert sha(report.to_json()) == GOLDEN["mda_rf"]
 
 
 @pytest.mark.parametrize("kind,grid", [

@@ -131,3 +131,46 @@ def test_node_with_two_parents_rejected():
                      leaf_class=[-1, -1, -1, 0, 1, 0, 1])
     with pytest.raises(TreeIntegrityError, match="two splits"):
         NodeTable.concat((tree,))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subset_routing_matches_full_columns(seed):
+    rng = np.random.default_rng(100 + seed)
+    forest = random_rf(rng, n_trees=25, f=N_FEATURES, n_classes=N_CLASSES, depth=int(rng.integers(0, 8)))
+    x = rng.normal(size=(40, N_FEATURES))
+    full = forest.table.leaf_classes(x)
+    for size in (1, 3, 12, 25):
+        trees = np.sort(rng.choice(forest.n_trees, size=size, replace=False))
+        np.testing.assert_array_equal(forest.table.leaf_classes(x, trees), full[:, trees])
+
+
+def test_single_tree_subset_matches_route_matrix(mixed_forest, queries):
+    for t, tree in enumerate(mixed_forest.trees):
+        got = mixed_forest.table.leaf_classes(queries, np.array([t]))
+        np.testing.assert_array_equal(got[:, 0], tree.route_matrix(queries))
+
+
+def test_shallow_subset_takes_fewer_steps_and_matches(mixed_forest, queries):
+    """The shallow trees and the single leaves need fewer steps than the deep
+    trees; a subset of them must still reach the same leaves."""
+    table = mixed_forest.table
+    shallow = np.flatnonzero(table.depths < table.steps)
+    assert 0 < int(table.depths[shallow].max()) < table.steps
+    np.testing.assert_array_equal(table.leaf_classes(queries, shallow),
+                                  table.leaf_classes(queries)[:, shallow])
+    leaves = np.flatnonzero(table.depths == 0)
+    np.testing.assert_array_equal(table.leaf_classes(queries, leaves),
+                                  table.leaf_classes(queries)[:, leaves])
+
+
+def test_empty_subset_gives_no_columns(mixed_forest, queries):
+    assert mixed_forest.table.leaf_classes(queries, np.array([], dtype=np.intp)).shape == (84, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trees_using_lists_every_tree_with_that_split(seed):
+    rng = np.random.default_rng(200 + seed)
+    forest = random_rf(rng, n_trees=30, f=N_FEATURES + 2, n_classes=N_CLASSES, depth=3)
+    for feature in range(N_FEATURES + 3):
+        want = [t for t, tree in enumerate(forest.trees) if feature in tree.feature]
+        assert forest.table.trees_using(feature).tolist() == want

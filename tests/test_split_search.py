@@ -7,7 +7,7 @@ import pytest
 
 from helpers import best_split_oracle, blob_dataset
 from nilmedge.models.io import serialize
-from nilmedge.train.cart import _best_split, train_rf
+from nilmedge.train.cart import _best_split, _split_search, train_rf
 from nilmedge.train.dataset import Dataset
 
 
@@ -68,6 +68,20 @@ def test_continuous_block_matches_oracle(rng):
     for _ in range(20):
         candidates = rng.choice(11, size=4, replace=False)
         assert _best_split(x, y, candidates, 7) == best_split_oracle(x, y, candidates, 7)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_narrow_labels_and_passed_counts_match_oracle(seed):
+    """The trainer's form of the search: uint8 labels, the node's class
+    counts passed in, some classes absent, many repeated values."""
+    rng = np.random.default_rng(300 + seed)
+    n, n_classes = int(rng.integers(2, 700)), int(rng.integers(2, 12))
+    x = rng.integers(0, 6, size=(n, 10)).astype(np.float64)
+    x[:, 5:] += rng.normal(size=(n, 5))
+    y = rng.choice(rng.choice(n_classes, size=max(1, n_classes - 2), replace=False), size=n)
+    candidates = rng.choice(10, size=4, replace=False)
+    got = _split_search(x, y.astype(np.uint8), candidates, np.bincount(y, minlength=n_classes))
+    assert got == best_split_oracle(x, y, candidates, n_classes)
 
 
 # serialize(train_rf(...)) of the per-feature-loop trainer, before split search
