@@ -25,7 +25,7 @@ from .features import (
 from .models.io import load_model, save_model
 from .pipeline import classify_stream, write_stream_labels_csv
 from .sampleio import FORMATS, load_samples, save_samples
-from .signals import window_stream
+from .signals import ACQUISITION_RATE_HZ, decimate_stream, window_stream
 from .synth import parse_scenario_script, synth_scenario
 from .train import (
     GridSpec,
@@ -108,7 +108,10 @@ def cmd_synth(args) -> int:
 
 
 def _samples(args):
-    return load_samples(args.samples, format=args.format if args.format != "auto" else None)
+    """The sample file as a 10 kHz stream; a 20 kHz file is pair-averaged
+    by the chain's own decimation."""
+    stream = load_samples(args.samples, format=args.format if args.format != "auto" else None)
+    return decimate_stream(stream) if stream.rate_hz == ACQUISITION_RATE_HZ else stream
 
 
 def cmd_extract(args) -> int:

@@ -19,20 +19,21 @@ report magnitudes instead of (re, im) pairs; the default reproduces the
 The arithmetic works on blocks of windows. `extract_feature_matrix` maps
 (n, 1000) voltage and current rows to (n, len(layout)) features: one
 batched radix-2 FFT, then one fancy index into the cached bin list of the
-layout. `extract_features` is its one-row call, and `extract_blocks` feeds a
-window stream through it EXTRACT_BLOCK windows at a time. A row comes out
-bit for bit the same in any block: the butterflies are elementwise, P, |S|
-and Q keep one np.dot per row, and magnitudes are np.hypot of the real and
-imaginary parts, which equals abs() of one complex scalar where np.abs of a
-complex array can differ in the last bit.
+layout. The pipeline hands it the stream's row blocks from
+`signals.window_blocks`, EXTRACT_BLOCK windows at a time;
+`extract_features` is its one-row call, and `feature_matrix` stacks a
+sequence of window objects into it. A row comes out bit for bit the same
+in any block: the butterflies are elementwise, P, |S| and Q keep one
+np.dot per row, and magnitudes are np.hypot of the real and imaginary
+parts, which equals abs() of one complex scalar where np.abs of a complex
+array can differ in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -207,10 +208,19 @@ class FeatureLayout:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureLayout":
+        """Inverse of to_dict. A value of the wrong JSON type raises
+        ValueError naming its key rather than being coerced: "false" is not
+        False, and 1.9 is not order 1."""
+        for key in ("time_domain", "complex_pairs"):
+            if not isinstance(d[key], bool):
+                raise ValueError(f"layout {key!r} must be a JSON boolean, got {d[key]!r}")
+        orders = d["harmonic_orders"]
+        if not isinstance(orders, list) or any(type(k) is not int for k in orders):
+            raise ValueError(f"layout 'harmonic_orders' must be a list of integers, got {orders!r}")
         return cls(
-            time_domain=bool(d["time_domain"]),
-            harmonic_orders=tuple(int(k) for k in d["harmonic_orders"]),
-            complex_pairs=bool(d["complex_pairs"]),
+            time_domain=d["time_domain"],
+            harmonic_orders=tuple(orders),
+            complex_pairs=d["complex_pairs"],
         )
 
 
@@ -322,25 +332,16 @@ def extract_features(w: SampleWindow, layout: FeatureLayout = DEFAULT_LAYOUT) ->
     return FeatureVector(values=values, layout=layout, window_index=w.index)
 
 
-def extract_blocks(
-    windows: Iterable[SampleWindow], layout: FeatureLayout = DEFAULT_LAYOUT
-) -> Iterator[tuple[SampleWindow, np.ndarray]]:
-    """(window, feature row) for each window in order, extracted
-    EXTRACT_BLOCK windows per extract_feature_matrix call."""
-    windows = iter(windows)
-    while block := list(islice(windows, EXTRACT_BLOCK)):
-        rows = extract_feature_matrix(
-            np.stack([w.v for w in block]), np.stack([w.i for w in block]), layout
-        )
-        yield from zip(block, rows)
-
-
 def feature_matrix(windows: Iterable[SampleWindow], layout: FeatureLayout = DEFAULT_LAYOUT):
-    """Feature rows of the windows, in order; returns (matrix, window indices)."""
-    pairs = list(extract_blocks(windows, layout))
-    if not pairs:
-        return np.empty((0, len(layout))), []
-    return np.vstack([row for _, row in pairs]), [w.index for w, _ in pairs]
+    """Feature rows of the windows, in order; returns (matrix, window indices).
+
+    The windows are stacked EXTRACT_BLOCK at a time into
+    extract_feature_matrix calls."""
+    windows = list(windows)
+    blocks = [windows[k : k + EXTRACT_BLOCK] for k in range(0, len(windows), EXTRACT_BLOCK)]
+    rows = [extract_feature_matrix(np.stack([w.v for w in b]), np.stack([w.i for w in b]), layout)
+            for b in blocks]
+    return np.vstack(rows or [np.empty((0, len(layout)))]), [w.index for w in windows]
 
 
 def write_features_csv(path, matrix: np.ndarray, window_indices: Sequence[int],

@@ -2,19 +2,21 @@
 running the online window -> features -> event -> classify loop.
 
 One in-order event core serves both the offline differential-vector
-dataset and the online classifier. It pulls windows from the stream in
-blocks of features.EXTRACT_BLOCK (32, 3.2 s of signal) and extracts each
-block with one extract_feature_matrix call; from there it goes on one
-window at a time: it steps the real-power track through threshold
-detection and keeps the last 41 vectors in a ring. An event detected at
-window j resolves at window j+20: the +-20-window guard decides it and, if
-it is valid, the differential vector is taken from the ring. Events still
-open at end of stream come out unresolved. Single-appliance mode labels
-the window where the power threshold crossing is observed;
-multi-appliance mode labels resolved events and reports the rest as
-invalid or pending. Blocks change when a result is ready, up to 31
-windows later, never what it is: a window's features do not depend on its
-block. window_dataset extracts its steady windows in the same blocks.
+dataset and the online classifier. It reads the stream as consecutive
+(32, 1000) row blocks from signals.window_blocks (features.EXTRACT_BLOCK
+windows, 3.2 s of signal) and extracts each block with one
+extract_feature_matrix call; from there it goes on one window at a time:
+it steps the real-power track through threshold detection and keeps the
+last 41 vectors in a ring. An event detected at window j resolves at
+window j+20: the +-20-window guard decides it and, if it is valid, the
+differential vector is taken from the ring. Events still open at end of
+stream come out unresolved. Single-appliance mode labels the window where
+the power threshold crossing is observed; multi-appliance mode labels
+resolved events and reports the rest as invalid or pending. Blocks change
+when a result is ready, up to 31 windows later, never what it is: a
+window's features do not depend on its block. window_dataset reads the
+same blocks and extracts only their steady rows. No path builds a
+SampleWindow.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .events import (
     GUARD_RADIUS,
     DeltaBuffer,
     SwitchEvent,
-    WindowNotReady,
     check_sign,
     delta_feature,
     delta_feature_from_windows,  # noqa: F401 - perfbench/spans.py wraps it at this name
@@ -40,13 +41,15 @@ from .events import (
 )
 from .features import (
     DEFAULT_LAYOUT,
+    EXTRACT_BLOCK,
+    TIME_ONLY_LAYOUT,
     FeatureLayout,
-    extract_blocks,
+    extract_feature_matrix,
     extract_features,  # noqa: F401 - perfbench/spans.py wraps it at this name
-    real_power,
 )
 from .models.base import BaseModel, classify_matrix
-from .signals import SampleStream, window_stream
+from .signals import SampleStream, window_blocks
+from .signals import window_stream  # noqa: F401 - perfbench/spans.py wraps it at this name
 from .synth import LabelTrack
 from .train.dataset import Dataset
 
@@ -66,31 +69,30 @@ def _event_core(
     recent: deque[SwitchEvent] = deque()  # events the guard may still need
     open_events: deque[SwitchEvent] = deque()
     prev_p: float | None = None
-    for w, values in extract_blocks(window_stream(stream), layout):
-        buffer.push(w.index, values)
+    for first, v, i in window_blocks(stream, EXTRACT_BLOCK):
+        rows = extract_feature_matrix(v, i, layout)
         # detection always runs on real power, even for layouts without it
-        p = float(values[0]) if layout.time_domain else real_power(w)
-        ev = None if prev_p is None else detect_event(prev_p, p, threshold_w, window_index=w.index)
-        prev_p = p
-        if ev is not None:
-            recent.append(ev)
-            open_events.append(ev)
-        resolved = []
-        j = w.index - DELTA_HALF_SPAN
-        if open_events and open_events[0].window_index == j:
-            due = open_events.popleft()
-            while recent[0].window_index < j - GUARD_RADIUS:
-                recent.popleft()
-            near = list(recent)
-            valid = event_guard(near)[near.index(due)]
-            delta = None
-            if valid:
-                try:
+        p_rows = rows if layout.time_domain else extract_feature_matrix(v, i, TIME_ONLY_LAYOUT)
+        for w, values, p in zip(range(first, first + len(rows)), rows, p_rows[:, 0].tolist()):
+            buffer.push(w, values)
+            ev = None if prev_p is None else detect_event(prev_p, p, threshold_w, window_index=w)
+            prev_p = p
+            if ev is not None:
+                recent.append(ev)
+                open_events.append(ev)
+            resolved = []
+            j = w - DELTA_HALF_SPAN
+            if open_events and open_events[0].window_index == j:
+                due = open_events.popleft()
+                while recent[0].window_index < j - GUARD_RADIUS:
+                    recent.popleft()
+                near = list(recent)
+                valid = event_guard(near)[near.index(due)]
+                delta = None
+                if valid and j >= DELTA_HALF_SPAN:  # the ring holds j-20 once it exists
                     delta = delta_feature(buffer, j, sign=sign)
-                except WindowNotReady:
-                    pass
-            resolved.append((due, valid, delta))
-        yield values, ev, resolved
+                resolved.append((due, valid, delta))
+            yield values, ev, resolved
     yield None, None, [(e, True, None) for e in open_events]
 
 
@@ -107,14 +109,14 @@ def window_dataset(
         seen = sorted({app for s in track.active for app in s})
         class_names = tuple(seen)
     index_of = {name: k for k, name in enumerate(class_names)}
-    steady = (w for w in window_stream(stream)
-              if w.index < len(track) and w.index not in track.toggles
-              and len(track.active[w.index]) == 1)
     rows, labels = [], []
-    for w, values in extract_blocks(steady, layout):
-        (app,) = track.active[w.index]
-        rows.append(values)
-        labels.append(index_of[app])
+    for first, v, i in window_blocks(stream, EXTRACT_BLOCK):
+        steady = [j for j in range(first, first + len(v)) if j < len(track)
+                  and j not in track.toggles and len(track.active[j]) == 1]
+        if steady:
+            k = np.subtract(steady, first)
+            rows.append(extract_feature_matrix(v[k], i[k], layout))
+            labels += [index_of[app] for j in steady for app in track.active[j]]
     return _dataset(rows, labels, class_names, layout, provenance,
                     "steady single-appliance windows")
 

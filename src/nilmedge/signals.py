@@ -4,6 +4,9 @@ and 100 ms windowing of voltage/current sample streams.
 The numeric contract mirrors a metering front end that digitizes both channels
 with a 14-bit converter at 20 kHz, averages sample pairs down to 10 kHz, and
 hands the DSP stage non-overlapping frames of 1000 samples per channel.
+`window_blocks` hands those frames over as (n, 1000) row views of the
+stream, the form the feature and event stages read; `window_stream` is its
+one-window form, one `SampleWindow` per frame.
 """
 
 from __future__ import annotations
@@ -145,16 +148,23 @@ def decimate_stream(stream: SampleStream) -> SampleStream:
     )
 
 
-def window_stream(stream: SampleStream) -> Iterator[SampleWindow]:
-    """Cut a 10 kHz stream into consecutive non-overlapping 1000-sample windows.
+def window_blocks(stream: SampleStream, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Cut a 10 kHz stream into consecutive blocks of up to n 1000-sample windows.
 
+    Yields (index of the block's first window, v, i), where v and i are
+    (rows, 1000) views of the stream; every block but the last holds n rows.
     Windows start at stream sample 0; a trailing partial window is discarded.
-    An empty stream yields nothing.
+    An empty stream yields nothing. The rate is checked when iteration starts.
     """
     if stream.rate_hz != SAMPLE_RATE_HZ:
         raise ValueError(f"windowing expects a {SAMPLE_RATE_HZ} Hz stream, got {stream.rate_hz} Hz")
     n_windows = len(stream) // WINDOW_SAMPLES
-    for j in range(n_windows):
-        lo = j * WINDOW_SAMPLES
-        hi = lo + WINDOW_SAMPLES
-        yield SampleWindow(v=stream.v[lo:hi], i=stream.i[lo:hi], index=j)
+    v = stream.v[: n_windows * WINDOW_SAMPLES].reshape(n_windows, WINDOW_SAMPLES)
+    i = stream.i[: n_windows * WINDOW_SAMPLES].reshape(n_windows, WINDOW_SAMPLES)
+    for lo in range(0, n_windows, n):
+        yield lo, v[lo : lo + n], i[lo : lo + n]
+
+
+def window_stream(stream: SampleStream) -> Iterator[SampleWindow]:
+    """window_blocks one window at a time, each as a SampleWindow."""
+    return (SampleWindow(v=v[0], i=i[0], index=j) for j, v, i in window_blocks(stream, 1))

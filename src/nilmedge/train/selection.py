@@ -96,7 +96,7 @@ def _cell_size_hint(kind: str, params: dict, n_features: int, n_classes: int) ->
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     assignment = np.zeros(y.size, dtype=np.int64)
-    for c in np.unique(y):
+    for c in np.flatnonzero(np.bincount(y)):  # np.unique would import numpy.ma
         rows = rng.permutation(np.flatnonzero(y == c))
         assignment[rows] = np.arange(rows.size) % folds
     return [np.flatnonzero(assignment == f) for f in range(folds)]

@@ -319,3 +319,48 @@ class TestImportanceNote:
         assert note.startswith(f"{nonzero} of 4 importances non-zero; ")
         ties = len(report.importances) - len(set(report.importances))
         assert ("no two importances tie" in note) == (ties == 0)
+
+
+class TestTwentyKilohertzSamples:
+    """extract and classify pair-average a 20 kHz file with decimate_stream."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        from helpers import random_rf
+        from nilmedge.models.io import save_model
+        from nilmedge.signals import decimate_stream
+        from nilmedge.synth import ApplianceModel, Mains, ScenarioEvent, ScenarioScript, synth_scenario
+        registry = {
+            "heater": ApplianceModel(kind="resistive", nominal_power_w=150.0),
+            "fan": ApplianceModel(kind="reactive", nominal_power_w=60.0, phase_rad=0.4),
+        }
+        events = (ScenarioEvent(1.0, "heater", "on"), ScenarioEvent(3.5, "fan", "on"),
+                  ScenarioEvent(6.0, "heater", "off"))
+        script = ScenarioScript(mains=Mains(), events=events, duration_s=8.05, noise_rms_a=0.02)
+        stream, _ = synth_scenario(script, registry, seed=3, rate_hz=20_000)
+        out = tmp_path_factory.mktemp("khz20")
+        save_samples(stream, out / "20k.bin")
+        save_samples(decimate_stream(stream), out / "10k.bin")
+        save_model(random_rf(np.random.default_rng(0), n_trees=3), out / "rf.nlmm")
+        return out
+
+    @pytest.mark.parametrize("argv", [["extract"], ["classify", "--mode", "single"]],
+                             ids=lambda argv: argv[0])
+    def test_same_bytes_as_the_decimated_twin(self, files, argv, capsys):
+        model = ["--model", str(files / "rf.nlmm")] if argv[0] == "classify" else []
+        written = []
+        for rate in ("20k", "10k"):
+            out = files / f"{argv[0]}-{rate}.csv"
+            code, _, err = run(capsys, *argv, *model, "--samples", str(files / f"{rate}.bin"),
+                               "--out", str(out))
+            assert code == 0, err
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") > 1
+
+    def test_odd_sample_count_is_data_error(self, tmp_path, capsys):
+        from nilmedge.signals import SampleStream
+        path = tmp_path / "odd.bin"
+        save_samples(SampleStream(v=np.zeros(2001), i=np.zeros(2001), rate_hz=20_000), path)
+        code, _, err = run(capsys, "extract", "--samples", str(path), "--out", str(tmp_path / "f.csv"))
+        assert code == 2 and "even sample count" in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,17 @@ class TestFiles:
         with pytest.raises(ValueError) as err:
             load_dataset(path)
         assert "line 4" in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("time_domain", "no"), ("complex_pairs", "false"), ("complex_pairs", 0),
+        ("harmonic_orders", [1.9]), ("harmonic_orders", "13"),
+    ])
+    def test_layout_values_of_the_wrong_type_rejected(self, tmp_path, key, value):
+        path = tmp_path / "data.csv"
+        save_dataset(blob_dataset(n_classes=2, per_class=5), path)
+        sidecar = tmp_path / "data.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["layout"][key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=key):
+            load_dataset(path)

@@ -119,6 +119,27 @@ def with_header(blob: bytes, **changes) -> bytes:
     return blob[:7] + struct.pack("<I", len(new)) + new + blob[11 + meta_len:]
 
 
+# layout values of the wrong JSON type, each of which a coercing reader
+# would load as some layout: "false" and "no" as True, 1.9 as order 1,
+# "13" as orders (1, 3)
+WRONG_LAYOUT_VALUES = [
+    ("complex_pairs", "false"), ("time_domain", "no"), ("time_domain", 1),
+    ("harmonic_orders", [1.9, 3]), ("harmonic_orders", "13"), ("harmonic_orders", [True]),
+]
+
+
+@pytest.mark.parametrize("key, value", WRONG_LAYOUT_VALUES)
+def test_layout_values_of_the_wrong_type_are_integrity_errors(rng, key, value):
+    m = random_knn(rng)
+    layout = {**m.layout.to_dict(), key: value}
+    with pytest.raises(ModelIntegrityError, match=key):
+        deserialize(with_header(serialize(m), layout=layout))
+    doc = json.loads(to_json(m))
+    doc["meta"]["layout"] = layout
+    with pytest.raises(ModelIntegrityError, match=key):
+        from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("indices", [[1, 1], [0, -1], [0, 103]])
 def test_bad_selected_indices_are_integrity_errors(rng, indices):
     for m in all_kinds(rng):

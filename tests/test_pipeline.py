@@ -27,7 +27,7 @@ from nilmedge.pipeline import (
     write_stream_labels_csv,
 )
 from nilmedge.scenarios import MULTI5_REGISTRY, overlapping_script
-from nilmedge.signals import SampleStream, window_stream
+from nilmedge.signals import SampleStream, SampleWindow, window_stream
 from nilmedge.synth import ApplianceModel, Mains, ScenarioEvent, ScenarioScript, synth_scenario
 from nilmedge.train import Dataset, train_knn, train_rf
 
@@ -272,6 +272,29 @@ class TestClassifyStream:
         by_window = {s.window_index: s for s in classify_stream(stream, model, mode="multi")}
         assert by_window[10].status == "pending" and by_window[10].valid
         assert [s.status for s in by_window.values()].count("labeled") == 4
+
+
+def test_entries_build_no_window_objects(monkeypatch):
+    """The three entries read the stream's row blocks; none builds a
+    SampleWindow."""
+    built = []
+    post_init = SampleWindow.__post_init__
+
+    def counted(self):
+        built.append(self.index)
+        post_init(self)
+
+    monkeypatch.setattr(SampleWindow, "__post_init__", counted)
+    stream, track = synth_scenario(two_app_script(), TWO_APPS, seed=1)
+    names = ("fan", "heater")
+    d = window_dataset(stream, track, class_names=names)
+    delta_dataset(stream, track, class_names=names)
+    model = train_knn(d, k=1)
+    for mode in ("single", "multi"):
+        assert classify_stream(stream, model, mode=mode)
+    assert built == []
+    next(window_stream(stream))  # the counter does see a window object
+    assert built == [0]
 
 
 # --- block extraction: outputs over block boundaries ---------------------------------

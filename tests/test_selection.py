@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +81,22 @@ class TestGridSearch:
         a = grid_search(d, "rf", grid, folds=3, seed=7)
         b = grid_search(d, "rf", grid, folds=3, seed=7)
         assert a.as_dict() == b.as_dict()
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma (about 1 MiB) on its first call in a process
+        tests = Path(__file__).parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "from helpers import blob_dataset\n"
+                "from nilmedge.train import GridSpec, grid_search\n"
+                "grid_search(blob_dataset(per_class=12), 'knn', GridSpec(knn_k=(1, 3)), folds=3)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def one_informative_dataset(seed, n=120):
