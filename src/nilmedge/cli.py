@@ -13,19 +13,22 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import scenarios
 from .cost import CORTEX_M4_PAPER, cost_report, load_profile
 from .features import (
     DEFAULT_LAYOUT,
+    EXTRACT_BLOCK,
     FREQUENCY_ONLY_LAYOUT,
     TIME_ONLY_LAYOUT,
-    feature_matrix,
+    extract_feature_matrix,
     write_features_csv,
 )
 from .models.io import load_model, save_model
 from .pipeline import classify_stream, write_stream_labels_csv
 from .sampleio import FORMATS, load_samples, save_samples
-from .signals import ACQUISITION_RATE_HZ, decimate_stream, window_stream
+from .signals import ACQUISITION_RATE_HZ, decimate_stream, window_blocks
 from .synth import parse_scenario_script, synth_scenario
 from .train import (
     GridSpec,
@@ -118,9 +121,11 @@ def cmd_extract(args) -> int:
     _echo_seed(args.seed)
     stream = _samples(args)
     layout = LAYOUTS[args.layout]
-    matrix, indices = feature_matrix(window_stream(stream), layout)
+    blocks = [extract_feature_matrix(v, i, layout)
+              for _, v, i in window_blocks(stream, EXTRACT_BLOCK)]
+    matrix = np.vstack(blocks or [np.empty((0, len(layout)))])
     out = args.out or "features.csv"
-    write_features_csv(out, matrix, indices, layout)
+    write_features_csv(out, matrix, range(len(matrix)), layout)
     print(f"wrote {out}: {matrix.shape[0]} windows x {matrix.shape[1]} features")
     return 0
 

@@ -19,14 +19,19 @@ report magnitudes instead of (re, im) pairs; the default reproduces the
 The arithmetic works on blocks of windows. `extract_feature_matrix` maps
 (n, 1000) voltage and current rows to (n, len(layout)) features: one
 batched radix-2 FFT, then one fancy index into the cached bin list of the
-layout. The pipeline hands it the stream's row blocks from
-`signals.window_blocks`, EXTRACT_BLOCK windows at a time;
-`extract_features` is its one-row call, and `feature_matrix` stacks a
+layout. Streams are cut into row blocks by `signals.window_blocks`,
+EXTRACT_BLOCK windows at a time. The event core extracts only
+TIME_ONLY_LAYOUT (no FFT) from each block, for the real-power track, and
+the full layout only for the rows a result reads: the six windows of a
+differential vector in one call, or the one window of a single-mode
+label. `window_dataset` and `nilmedge extract` extract whole blocks.
+`extract_features` is the one-row call, and `feature_matrix` stacks a
 sequence of window objects into it. A row comes out bit for bit the same
-in any block: the butterflies are elementwise, P, |S| and Q keep one
-np.dot per row, and magnitudes are np.hypot of the real and imaginary
-parts, which equals abs() of one complex scalar where np.abs of a complex
-array can differ in the last bit.
+in any block and with any rows beside it: the butterflies are
+elementwise, P, |S| and Q keep one np.dot per row, and magnitudes are
+np.hypot of the real and imaginary parts, which equals abs() of one
+complex scalar where np.abs of a complex array can differ in the last
+bit.
 """
 
 from __future__ import annotations

@@ -4,38 +4,44 @@ running the online window -> features -> event -> classify loop.
 One in-order event core serves both the offline differential-vector
 dataset and the online classifier. It reads the stream as consecutive
 (32, 1000) row blocks from signals.window_blocks (features.EXTRACT_BLOCK
-windows, 3.2 s of signal) and extracts each block with one
-extract_feature_matrix call; from there it goes on one window at a time:
-it steps the real-power track through threshold detection and keeps the
-last 41 vectors in a ring. An event detected at window j resolves at
-window j+20: the +-20-window guard decides it and, if it is valid, the
-differential vector is taken from the ring. Events still open at end of
-stream come out unresolved. Single-appliance mode labels the window where
-the power threshold crossing is observed; multi-appliance mode labels
-resolved events and reports the rest as invalid or pending. Blocks change
-when a result is ready, up to 31 windows later, never what it is: a
-window's features do not depend on its block. window_dataset reads the
-same blocks and extracts only their steady rows. No path builds a
-SampleWindow.
+windows, 3.2 s of signal) and keeps the blocks that cover the last 41
+windows, as views into the stream. Every window gets its real power, one
+TIME_ONLY_LAYOUT extraction per block, and the core steps that track
+through threshold detection one window at a time. An event detected at
+window j resolves at window j+20: the +-20-window guard decides it and,
+if it is valid, the six windows of its differential vector are extracted
+in the model's layout in one extract_feature_matrix call. The full vector
+of any other window is extracted only when a result reads it, so the
+harmonic FFT runs on the windows a result needs and on no others. Events
+still open at end of stream come out unresolved. Single-appliance mode
+labels the window where the power threshold crossing is observed;
+multi-appliance mode labels resolved events and reports the rest as
+invalid or pending. Blocks change when a result is ready, up to 31
+windows later, never what it is: a window's features do not depend on
+its block or on which other windows are extracted with it. window_dataset
+reads the same blocks and extracts only their steady rows. No path builds
+a SampleWindow.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .events import (
     DEFAULT_THRESHOLD_W,
     DELTA_HALF_SPAN,
+    DELTA_OFFSETS_POST,
+    DELTA_OFFSETS_PRE,
     GUARD_RADIUS,
-    DeltaBuffer,
     SwitchEvent,
     check_sign,
-    delta_feature,
-    delta_feature_from_windows,  # noqa: F401 - perfbench/spans.py wraps it at this name
+    delta_feature,  # noqa: F401 - perfbench/spans.py wraps it at this name
+    delta_feature_from_windows,
     detect_event,
     event_guard,
 )
@@ -55,29 +61,36 @@ from .train.dataset import Dataset
 
 
 def _event_core(
-    stream: SampleStream, layout: FeatureLayout, threshold_w: float, sign: str
-) -> Iterator[tuple[np.ndarray | None, SwitchEvent | None, list[tuple]]]:
+    stream: SampleStream, layout: FeatureLayout, threshold_w: float, sign: str,
+    resolve: bool = True,
+) -> Iterator[tuple[Callable[[], np.ndarray] | None, SwitchEvent | None, list[tuple]]]:
     """Yield (features, event detected here or None, events resolved here)
     per window, then (None, None, events left open) once the stream ends.
 
-    A resolved event is (event, valid, delta): delta is None when the guard
-    rejects the event or the ring never held window j-20. Open events come
-    out valid with delta None. The guard and the delta both need every
-    window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN."""
+    features is a no-argument callable that extracts the window's full
+    vector in the layout when called; it stays valid after the core moves
+    on. A resolved event is (event, valid, delta): delta is None when the
+    guard rejects the event or the stream has no window j-20. Open events
+    come out valid with delta None. The guard and the delta both need
+    every window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN. With
+    resolve=False no event is resolved or left open, so no differential
+    vector is extracted."""
     check_sign(sign)
-    buffer = DeltaBuffer()
+    blocks: deque[tuple[int, np.ndarray, np.ndarray]] = deque()  # cover windows w-40 .. w
     recent: deque[SwitchEvent] = deque()  # events the guard may still need
     open_events: deque[SwitchEvent] = deque()
     prev_p: float | None = None
     for first, v, i in window_blocks(stream, EXTRACT_BLOCK):
-        rows = extract_feature_matrix(v, i, layout)
-        # detection always runs on real power, even for layouts without it
-        p_rows = rows if layout.time_domain else extract_feature_matrix(v, i, TIME_ONLY_LAYOUT)
-        for w, values, p in zip(range(first, first + len(rows)), rows, p_rows[:, 0].tolist()):
-            buffer.push(w, values)
+        blocks.append((first, v, i))
+        while blocks[0][0] + len(blocks[0][1]) <= first - 2 * DELTA_HALF_SPAN:
+            blocks.popleft()
+        # detection always runs on real power, whatever the layout holds
+        p_rows = extract_feature_matrix(v, i, TIME_ONLY_LAYOUT)[:, 0].tolist()
+        for k, p in enumerate(p_rows):
+            w = first + k
             ev = None if prev_p is None else detect_event(prev_p, p, threshold_w, window_index=w)
             prev_p = p
-            if ev is not None:
+            if ev is not None and resolve:
                 recent.append(ev)
                 open_events.append(ev)
             resolved = []
@@ -89,11 +102,26 @@ def _event_core(
                 near = list(recent)
                 valid = event_guard(near)[near.index(due)]
                 delta = None
-                if valid and j >= DELTA_HALF_SPAN:  # the ring holds j-20 once it exists
-                    delta = delta_feature(buffer, j, sign=sign)
+                if valid and j >= DELTA_HALF_SPAN:  # window j-20 exists
+                    rows = _window_rows(blocks, [j + off for off in DELTA_OFFSETS_PRE
+                                                 + DELTA_OFFSETS_POST], layout)
+                    delta = delta_feature_from_windows(rows[:3], rows[3:], sign=sign)
                 resolved.append((due, valid, delta))
-            yield values, ev, resolved
+            yield partial(_window_row, v, i, k, layout), ev, resolved
     yield None, None, [(e, True, None) for e in open_events]
+
+
+def _window_row(v: np.ndarray, i: np.ndarray, k: int, layout: FeatureLayout) -> np.ndarray:
+    """Row k of a block, extracted in the layout."""
+    return extract_feature_matrix(v[k : k + 1], i[k : k + 1], layout)[0]
+
+
+def _window_rows(blocks, windows: list[int], layout: FeatureLayout) -> np.ndarray:
+    """The given windows' rows, picked from the held blocks, extracted in
+    the layout with one call."""
+    v_rows, i_rows = zip(*((v[w - first], i[w - first]) for w in windows
+                           for first, v, i in blocks if first <= w < first + len(v)))
+    return extract_feature_matrix(v_rows, i_rows, layout)
 
 
 def window_dataset(
@@ -190,9 +218,10 @@ def classify_stream(
     if mode not in ("single", "multi"):
         raise ValueError(f"mode must be 'single' or 'multi', got {mode!r}")
     out: list[StreamLabel] = []
-    for values, ev, resolved in _event_core(stream, model.layout, threshold_w, sign):
+    core = _event_core(stream, model.layout, threshold_w, sign, resolve=mode == "multi")
+    for features, ev, resolved in core:
         if mode == "single":  # label each event at once from its own window
-            resolved = [] if ev is None else [(ev, True, values)]
+            resolved = [] if ev is None else [(ev, True, features())]
         for ev, valid, x in resolved:
             if not valid:
                 status, label = "invalid", None

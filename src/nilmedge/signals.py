@@ -120,9 +120,14 @@ class SampleWindow:
 
 
 def calibrate_raw(block: RawSampleBlock, coeffs: CalibrationCoefficients) -> SampleStream:
-    """Apply the affine calibration to both channels, preserving length and rate."""
-    v = block.codes_v * coeffs.gain_v + coeffs.offset_v
-    i = block.codes_i * coeffs.gain_i + coeffs.offset_i
+    """Apply the affine calibration to both channels, preserving length and rate.
+
+    Each channel is calibrated through a table of code * gain + offset for
+    all 16,384 codes, the same arithmetic per code as on every sample, so
+    a gather gives the same bits."""
+    codes = np.arange(ADC_CODE_MAX + 1)
+    v = np.take(codes * coeffs.gain_v + coeffs.offset_v, block.codes_v)
+    i = np.take(codes * coeffs.gain_i + coeffs.offset_i, block.codes_i)
     return SampleStream(v=v, i=i, rate_hz=block.rate_hz)
 
 

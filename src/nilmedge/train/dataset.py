@@ -123,6 +123,13 @@ def load_dataset(path: str | Path) -> Dataset:
     if not meta_path.exists():
         raise FileNotFoundError(f"missing dataset sidecar {meta_path}")
     meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"dataset sidecar {meta_path} must hold a JSON object")
+    if not isinstance(meta["layout"], dict):
+        raise ValueError(f"sidecar 'layout' must be a JSON object, got {meta['layout']!r}")
+    names = meta["class_names"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"sidecar 'class_names' must be a list of strings, got {names!r}")
     labels: list[int] = []
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -145,7 +152,7 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(
         x=np.array(rows, dtype=np.float64),
         y=np.array(labels, dtype=np.int64),
-        class_names=tuple(meta["class_names"]),
+        class_names=tuple(names),
         layout=FeatureLayout.from_dict(meta["layout"]),
         provenance=meta.get("provenance", "unspecified"),
     )

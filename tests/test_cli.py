@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from helpers import blob_dataset
 from nilmedge.cli import main
-from nilmedge.features import DEFAULT_LAYOUT, extract_features
+from nilmedge.features import DEFAULT_LAYOUT, extract_features, feature_matrix, write_features_csv
 from nilmedge.models.io import load_model
 from nilmedge.pipeline import window_dataset
 from nilmedge.sampleio import load_samples, save_samples
-from nilmedge.signals import window_stream
+from nilmedge.signals import SampleWindow, window_stream
 from nilmedge.train import MdaReport
 from nilmedge.train.dataset import save_dataset
 
@@ -139,6 +140,62 @@ class TestExtract:
                          "--out", str(out))
         assert code == 0
         assert len(out.read_text().splitlines()) == 2  # header + one row
+
+
+    def test_csv_bytes_from_row_blocks_without_window_objects(self, synth_dir, tmp_path,
+                                                              capsys, monkeypatch):
+        stream = load_samples(synth_dir / "samples.bin")
+        want = tmp_path / "want.csv"
+        write_features_csv(want, *feature_matrix(window_stream(stream)))
+        built = []
+        post_init = SampleWindow.__post_init__
+
+        def counted(self):
+            built.append(self.index)
+            post_init(self)
+
+        monkeypatch.setattr(SampleWindow, "__post_init__", counted)
+        out = tmp_path / "features.csv"
+        code, _, err = run(capsys, "extract", "--samples", str(synth_dir / "samples.bin"),
+                           "--out", str(out))
+        assert code == 0, err
+        assert out.read_bytes() == want.read_bytes()
+        assert built == []
+
+    def test_empty_stream_writes_header_only(self, tmp_path, capsys):
+        from nilmedge.signals import SampleStream
+        path = tmp_path / "short.bin"
+        save_samples(SampleStream(v=np.zeros(999), i=np.zeros(999)), path)
+        out = tmp_path / "f.csv"
+        code, text, err = run(capsys, "extract", "--samples", str(path), "--out", str(out))
+        assert code == 0, err
+        assert "0 windows x 103 features" in text
+        assert out.read_text().count("\n") == 1
+
+
+class TestDatasetSidecar:
+    @pytest.mark.parametrize("meta", [
+        {"layout": None}, {"layout": [True, [1, 3], True]}, {"layout": "default"},
+        {"class_names": None}, {"class_names": "ab"}, {"class_names": [0, 1]},
+    ], ids=lambda meta: "-".join(f"{k}={v!r}" for k, v in meta.items()))
+    def test_bad_field_is_data_error_naming_it(self, tmp_path, capsys, meta):
+        path = tmp_path / "d.csv"
+        save_dataset(blob_dataset(n_classes=2, per_class=5), path)
+        sidecar = tmp_path / "d.csv.meta.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **meta}))
+        code, _, err = run(capsys, "train", "--dataset", str(path), "--kind", "knn",
+                           "--out", str(tmp_path / "knn.nlmm"))
+        key = next(iter(meta))
+        assert code == 2 and f"'{key}'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [[], None, "layout", 3])
+    def test_sidecar_that_is_not_an_object_is_data_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "d.csv"
+        save_dataset(blob_dataset(n_classes=2, per_class=5), path)
+        (tmp_path / "d.csv.meta.json").write_text(json.dumps(doc))
+        code, _, err = run(capsys, "train", "--dataset", str(path), "--kind", "knn",
+                           "--out", str(tmp_path / "knn.nlmm"))
+        assert code == 2 and "JSON object" in err
 
 
 class TestTrainAndCost:

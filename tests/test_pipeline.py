@@ -11,6 +11,7 @@ from helpers import (
     delta_oracle,
     stream_features_oracle,
 )
+import nilmedge.features as features_module
 from nilmedge.features import (
     DEFAULT_LAYOUT,
     FREQUENCY_ONLY_LAYOUT,
@@ -429,3 +430,76 @@ def test_outputs_match_golden_hashes(tmp_path):
     write_stream_labels_csv(tmp_path / "labels", labels)
     digests["labels_multi"] = hashlib.sha256((tmp_path / "labels").read_bytes()).hexdigest()
     assert digests == GOLDEN_OUTPUTS
+
+
+# --- lazy extraction: the harmonic FFT runs only on the rows a result reads -----------
+
+@pytest.fixture(scope="module")
+def multi5_run():
+    """A two-round multi5 stream with clashes, its deltas, and two models."""
+    names = tuple(sorted(MULTI5_REGISTRY))
+    stream, track = golden_multi5(0)
+    models = {
+        "rf": train_rf(delta_dataset(stream, track, class_names=names), n_trees=5, seed=0),
+        "knn_frequency_only": train_knn(delta_dataset(stream, track, class_names=names,
+                                                      layout=FREQUENCY_ONLY_LAYOUT), k=1),
+    }
+    return stream, track, delta_oracle(stream), models
+
+
+def fft_rows(monkeypatch) -> list[int]:
+    """The row count of every features._padded_fft call from now on."""
+    rows = []
+    padded_fft = features_module._padded_fft
+
+    def counted(current):
+        rows.append(len(current))
+        return padded_fft(current)
+
+    monkeypatch.setattr(features_module, "_padded_fft", counted)
+    return rows
+
+
+@pytest.mark.parametrize("model_name", ["rf", "knn_frequency_only"])
+def test_multi_mode_transforms_six_rows_per_resolved_delta(multi5_run, monkeypatch, model_name):
+    stream, _, deltas, models = multi5_run
+    rows = fft_rows(monkeypatch)
+    labels = classify_stream(stream, models[model_name], mode="multi")
+    labeled = [s for s in labels if s.status == "labeled"]
+    assert 0 < len(labeled) == sum(delta is not None for _, delta in deltas.values())
+    assert rows == [6] * len(labeled)
+    assert sum(rows) < len(stream) // 1000 // 4
+
+
+@pytest.mark.parametrize("model_name", ["rf", "knn_frequency_only"])
+def test_single_mode_transforms_one_row_per_event(multi5_run, monkeypatch, model_name):
+    stream, _, _, models = multi5_run
+    rows = fft_rows(monkeypatch)
+    labels = classify_stream(stream, models[model_name], mode="single")
+    assert labels and rows == [1] * len(labels)
+
+
+def test_delta_dataset_transforms_six_rows_per_delta(multi5_run, monkeypatch):
+    stream, track, deltas, _ = multi5_run
+    rows = fft_rows(monkeypatch)
+    d = delta_dataset(stream, track, class_names=tuple(sorted(MULTI5_REGISTRY)))
+    assert rows == [6] * sum(delta is not None for _, delta in deltas.values())
+    assert d.n <= len(rows)
+
+
+def test_nan_in_a_window_no_delta_reads_still_raises(multi5_run):
+    # the real-power track covers every window, so a NaN sample fails
+    # detection there even though no result reads the window's full vector
+    stream, track, deltas, models = multi5_run
+    read = {j + off for j, (_, delta) in deltas.items() if delta is not None
+            for off in (-20, -10, -1, 1, 10, 20)}
+    n = next(w for w in range(30, len(stream) // 1000) if w not in read)
+    i = stream.i.copy()
+    i[1000 * n + 500] = np.nan
+    broken = SampleStream(v=stream.v, i=i)
+    message = f"non-finite power at window {n}:"
+    for mode in ("single", "multi"):
+        with pytest.raises(ValueError, match=message):
+            classify_stream(broken, models["rf"], mode=mode)
+    with pytest.raises(ValueError, match=message):
+        delta_dataset(broken, track, class_names=tuple(sorted(MULTI5_REGISTRY)))

@@ -41,6 +41,24 @@ class TestCalibrate:
             assert out.v[k] == codes[k] * coeffs.gain_v + coeffs.offset_v
             assert out.i[k] == codes[::-1][k] * coeffs.gain_i + coeffs.offset_i
 
+    def test_every_code_equals_the_affine_arithmetic(self):
+        # the table gather must give the bits of code * gain + offset for
+        # all 16,384 codes, under the default and under random coefficients
+        codes = np.arange(16384)
+        rng = np.random.default_rng(20)
+        coeff_sets = [default_calibration(), BIPOLAR] + [
+            CalibrationCoefficients(*(rng.uniform(1e-6, 1.0) * 10.0 ** rng.integers(-3, 3)
+                                      if k % 2 == 0 else rng.normal(0, 10.0 ** rng.integers(-3, 4))
+                                      for k in range(4)))
+            for _ in range(20)]
+        for coeffs in coeff_sets:
+            out = calibrate_raw(RawSampleBlock(codes_v=codes, codes_i=codes[::-1].copy()), coeffs)
+            expected_v = np.array([float(c) * coeffs.gain_v + coeffs.offset_v for c in codes])
+            expected_i = np.array([float(c) * coeffs.gain_i + coeffs.offset_i for c in codes[::-1]])
+            assert np.array_equal(out.v, expected_v) and np.array_equal(out.i, expected_i)
+            assert np.array_equal(np.signbit(out.v), np.signbit(expected_v))
+            assert np.array_equal(np.signbit(out.i), np.signbit(expected_i))
+
     def test_affine_scaling_property(self, rng):
         codes = rng.integers(0, 4096, size=50)
         no_offset = CalibrationCoefficients(gain_v=0.01, offset_v=0.0,
