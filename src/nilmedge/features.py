@@ -17,21 +17,23 @@ report magnitudes instead of (re, im) pairs; the default reproduces the
 103-entry vector above.
 
 The arithmetic works on blocks of windows. `extract_feature_matrix` maps
-(n, 1000) voltage and current rows to (n, len(layout)) features: one
-batched radix-2 FFT, then one fancy index into the cached bin list of the
-layout. Streams are cut into row blocks by `signals.window_blocks`,
-EXTRACT_BLOCK windows at a time. The event core extracts only
-TIME_ONLY_LAYOUT (no FFT) from each block, for the real-power track, and
-the full layout only for the rows a result reads: the six windows of a
-differential vector in one call, or the one window of a single-mode
-label. `window_dataset` and `nilmedge extract` extract whole blocks.
-`extract_features` is the one-row call, and `feature_matrix` stacks a
-sequence of window objects into it. A row comes out bit for bit the same
-in any block and with any rows beside it: the butterflies are
-elementwise, P, |S| and Q keep one np.dot per row, and magnitudes are
-np.hypot of the real and imaginary parts, which equals abs() of one
-complex scalar where np.abs of a complex array can differ in the last
-bit.
+(n, 1000) voltage and current rows to (n, len(layout)) features: three
+stacked row-by-row products for P, |S| and Q, one batched radix-2 FFT,
+then one fancy index into the cached bin list of the layout. Streams are
+cut into row blocks by `signals.window_blocks`, EXTRACT_BLOCK windows at a
+time. The event core takes only `real_power_matrix` (no |S|, Q or FFT)
+from each block, for the real-power track, and the full layout only for
+the rows a result reads: the six windows of a differential vector in one
+call, or the one window of a single-mode label. `window_dataset` and
+`nilmedge extract` extract whole blocks. `extract_features` is the
+one-row call, and `feature_matrix` stacks a sequence of window objects
+into it. A row comes out bit for bit the same in any block, with any rows
+beside it and in any memory layout: blocks are made C-contiguous first,
+so each product of a row is one BLAS dot of two contiguous 1000-sample
+rows (a strided dot sums in another order); the butterflies are
+elementwise; and magnitudes are np.hypot of the real and imaginary parts,
+which equals abs() of one complex scalar where np.abs of a complex array
+can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -251,16 +253,41 @@ class FeatureVector:
 
 # --- feature computations ----------------------------------------------------
 
-def _powers(v: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """(n, 3) rows of [P, |S|, Q] for (n, 1000) sample rows.
+def _blocks(v, i) -> tuple[np.ndarray, np.ndarray]:
+    """Two (n, 1000) sample blocks as C-contiguous float64 arrays."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    i = np.ascontiguousarray(i, dtype=np.float64)
+    if v.ndim != 2 or v.shape != i.shape or v.shape[1] != WINDOW_SAMPLES:
+        raise ValueError(
+            f"expected two (n, {WINDOW_SAMPLES}) sample blocks, got {v.shape} and {i.shape}"
+        )
+    return v, i
 
-    Each product is one np.dot per row, the summation the scalar
-    definitions have always used; the rest is elementwise."""
-    dots = np.array([(np.dot(a, b), np.dot(a, a), np.dot(b, b)) for a, b in zip(v, i)])
-    dots = dots.reshape(len(v), 3) / WINDOW_SAMPLES
-    p = dots[:, 0]
-    s = np.sqrt(dots[:, 1]) * np.sqrt(dots[:, 2])
+
+def _mean_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """mean(a[r] * b[r]) for every row r of two C-contiguous (n, 1000) blocks.
+
+    One stacked matmul of 1x1000 by 1000x1 items: numpy hands each item to
+    the BLAS dot that np.dot of the two rows calls, so a row keeps the bits
+    of its scalar definition whatever else the block holds."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0] / WINDOW_SAMPLES
+
+
+def _powers(v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """(n, 3) rows of [P, |S|, Q] for C-contiguous (n, 1000) sample rows.
+
+    P is what real_power_matrix returns; |S| is the product of the two RMS
+    values; the rest is elementwise."""
+    p = _mean_products(v, i)
+    s = np.sqrt(_mean_products(v, v)) * np.sqrt(_mean_products(i, i))
     return np.column_stack([p, s, _reactive(p, s)])
+
+
+def real_power_matrix(v, i) -> np.ndarray:
+    """Real power P of each row of (n, 1000) voltage and current blocks:
+    column 0 of extract_feature_matrix with a time-domain layout, bit for
+    bit, without computing |S|, Q or harmonics."""
+    return _mean_products(*_blocks(v, i))
 
 
 def _reactive(p, s_abs):
@@ -272,12 +299,12 @@ def _reactive(p, s_abs):
 
 def real_power(w: SampleWindow) -> float:
     """Average instantaneous power over the window: mean of v[k]*i[k], in W."""
-    return float(_powers(w.v[None], w.i[None])[0, 0])
+    return float(real_power_matrix(w.v[None], w.i[None])[0])
 
 
 def apparent_power(w: SampleWindow) -> float:
     """|S| = V_rms * I_rms over the window, in VA."""
-    return float(_powers(w.v[None], w.i[None])[0, 1])
+    return float(_powers(*_blocks(w.v[None], w.i[None]))[0, 1])
 
 
 def reactive_power(p: float, s_abs: float) -> float:
@@ -315,14 +342,10 @@ def extract_feature_matrix(v, i, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.n
     """Feature rows of a block of windows: (n, 1000) voltage and current
     samples in, (n, len(layout)) features out, in layout order.
 
-    This is the only feature arithmetic; a row does not depend on the other
-    rows of its block."""
-    v = np.asarray(v, dtype=np.float64)
-    i = np.asarray(i, dtype=np.float64)
-    if v.ndim != 2 or v.shape != i.shape or v.shape[1] != WINDOW_SAMPLES:
-        raise ValueError(
-            f"expected two (n, {WINDOW_SAMPLES}) sample blocks, got {v.shape} and {i.shape}"
-        )
+    This is the only feature arithmetic (real_power_matrix is its column
+    P); a row depends neither on the other rows of its block nor on the
+    block's memory layout."""
+    v, i = _blocks(v, i)
     out = np.empty((len(v), len(layout)))
     if layout.time_domain:
         out[:, :3] = _powers(v, i)

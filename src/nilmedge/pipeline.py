@@ -6,21 +6,22 @@ dataset and the online classifier. It reads the stream as consecutive
 (32, 1000) row blocks from signals.window_blocks (features.EXTRACT_BLOCK
 windows, 3.2 s of signal) and keeps the blocks that cover the last 41
 windows, as views into the stream. Every window gets its real power, one
-TIME_ONLY_LAYOUT extraction per block, and the core steps that track
-through threshold detection one window at a time. An event detected at
-window j resolves at window j+20: the +-20-window guard decides it and,
-if it is valid, the six windows of its differential vector are extracted
-in the model's layout in one extract_feature_matrix call. The full vector
-of any other window is extracted only when a result reads it, so the
-harmonic FFT runs on the windows a result needs and on no others. Events
-still open at end of stream come out unresolved. Single-appliance mode
-labels the window where the power threshold crossing is observed;
-multi-appliance mode labels resolved events and reports the rest as
-invalid or pending. Blocks change when a result is ready, up to 31
-windows later, never what it is: a window's features do not depend on
-its block or on which other windows are extracted with it. window_dataset
-reads the same blocks and extracts only their steady rows. No path builds
-a SampleWindow.
+features.real_power_matrix call per block (no |S|, Q or FFT), and the
+core steps that track through threshold detection one window at a time.
+An event detected at window j resolves at window j+20: the +-20-window
+guard decides it and, if it is valid, the six windows of its
+differential vector are extracted in the model's layout in one
+extract_feature_matrix call. The full vector of any other window is
+extracted only when a result reads it, so the harmonic FFT runs on the
+windows a result needs and on no others. Events still open at end of
+stream come out unresolved. Single-appliance mode labels the window
+where the power threshold crossing is observed; multi-appliance mode
+labels resolved events and reports the rest as invalid or pending.
+Blocks change when a result is ready, up to 31 windows later, never what
+it is: a window's features do not depend on its block, on which other
+windows are extracted with it, or on the stream's memory layout.
+window_dataset reads the same blocks and extracts only their steady
+rows. No path builds a SampleWindow.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from .events import (
 from .features import (
     DEFAULT_LAYOUT,
     EXTRACT_BLOCK,
-    TIME_ONLY_LAYOUT,
     FeatureLayout,
     extract_feature_matrix,
     extract_features,  # noqa: F401 - perfbench/spans.py wraps it at this name
+    real_power_matrix,
 )
 from .models.base import BaseModel, classify_matrix
 from .signals import SampleStream, window_blocks
@@ -85,7 +86,7 @@ def _event_core(
         while blocks[0][0] + len(blocks[0][1]) <= first - 2 * DELTA_HALF_SPAN:
             blocks.popleft()
         # detection always runs on real power, whatever the layout holds
-        p_rows = extract_feature_matrix(v, i, TIME_ONLY_LAYOUT)[:, 0].tolist()
+        p_rows = real_power_matrix(v, i).tolist()
         for k, p in enumerate(p_rows):
             w = first + k
             ev = None if prev_p is None else detect_event(prev_p, p, threshold_w, window_index=w)

@@ -26,6 +26,7 @@ from nilmedge.features import (
     fft_radix2,
     feature_matrix,
     real_power,
+    real_power_matrix,
     reactive_power,
     write_features_csv,
 )
@@ -340,6 +341,37 @@ class TestBlockExtract:
     def test_bad_block_shapes_rejected(self, shapes):
         with pytest.raises(ValueError, match="sample blocks"):
             extract_feature_matrix(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_LAYOUTS))
+    def test_rows_do_not_depend_on_memory_layout(self, rng, name):
+        # a BLAS dot of strided rows sums in another order than one of
+        # contiguous rows, so a Fortran-ordered or stride-2 block must be
+        # extracted as its contiguous copy
+        layout = BLOCK_LAYOUTS[name]
+        v, i = rng.normal(size=(2, 32, 1000))
+        expected = extract_feature_matrix(v, i, layout)
+        wide_v, wide_i = np.zeros((32, 2000)), np.zeros((32, 2000))
+        wide_v[:, ::2], wide_i[:, ::2] = v, i
+        for got_v, got_i in [(np.asfortranarray(v), np.asfortranarray(i)),
+                             (wide_v[:, ::2], wide_i[:, ::2])]:
+            assert not got_v.flags.c_contiguous
+            assert_same_bits(extract_feature_matrix(got_v, got_i, layout), expected)
+            if layout.time_domain:
+                assert_same_bits(real_power_matrix(got_v, got_i), expected[:, 0])
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 0), slice(1, 2), slice(13, 14)])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the non-finite windows
+    def test_real_power_matrix_is_column_p(self, rng, rows):
+        v, i = block_windows(rng)
+        v, i = v[rows], i[rows]
+        got = real_power_matrix(v, i)
+        assert got.shape == (len(v),)
+        assert_same_bits(got, extract_feature_matrix(v, i, TIME_ONLY_LAYOUT)[:, 0])
+        assert_same_bits(got, np.array([real_power(window(a, b)) for a, b in zip(v, i)]))
+
+    def test_real_power_matrix_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="sample blocks"):
+            real_power_matrix(np.zeros((2, 1000)), np.zeros((3, 1000)))
 
 
 @pytest.mark.parametrize("n_windows", BLOCK_EDGE_WINDOWS)

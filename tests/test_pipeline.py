@@ -503,3 +503,28 @@ def test_nan_in_a_window_no_delta_reads_still_raises(multi5_run):
             classify_stream(broken, models["rf"], mode=mode)
     with pytest.raises(ValueError, match=message):
         delta_dataset(broken, track, class_names=tuple(sorted(MULTI5_REGISTRY)))
+
+
+# --- memory layout: a strided stream gives the bits of its contiguous copy ----------
+
+def interleaved(stream):
+    """The stream's channels as the two columns of one (n, 2) array, so each
+    channel is a stride-2 view."""
+    pairs = np.column_stack([stream.v, stream.i])
+    return SampleStream(v=pairs[:, 0], i=pairs[:, 1])
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_strided_stream_classifies_like_its_contiguous_copy(multi5_run, mode):
+    stream, _, _, models = multi5_run
+    strided = interleaved(stream)
+    assert not strided.v.flags.c_contiguous
+    labels = classify_stream(stream, models["rf"], mode=mode)
+    assert labels and classify_stream(strided, models["rf"], mode=mode) == labels
+
+
+def test_strided_stream_gives_the_same_delta_dataset(multi5_run):
+    stream, track, _, _ = multi5_run
+    names = tuple(sorted(MULTI5_REGISTRY))
+    assert_same_dataset(delta_dataset(interleaved(stream), track, class_names=names),
+                        delta_dataset(stream, track, class_names=names))
