@@ -7,9 +7,11 @@ cancels the steady background and isolates the toggled load - with the
 pre-minus-post sign convention, a turn-on shows up negative.
 """
 
-from nilmedge.events import DeltaBuffer, delta_feature, detect_event, event_guard
-from nilmedge.features import extract_features
-from nilmedge.signals import window_stream
+import numpy as np
+
+from nilmedge.events import delta_feature, detect_event, event_guard
+from nilmedge.features import EXTRACT_BLOCK, extract_feature_matrix
+from nilmedge.signals import window_blocks
 from nilmedge.synth import (
     ApplianceModel,
     Mains,
@@ -34,27 +36,20 @@ script = ScenarioScript(
 )
 stream, track = synth_scenario(script, REGISTRY, seed=5)
 
-buffer = DeltaBuffer()
+# one feature row per 100 ms window, row j = window j; column 0 is P
+features = np.vstack([extract_feature_matrix(v, i)
+                      for _, v, i in window_blocks(stream, EXTRACT_BLOCK)])
 events = []
-prev_p = None
-pending = []
-for w in window_stream(stream):
-    fv = extract_features(w)
-    buffer.push(w.index, fv.values)
-    p = fv.values[0]
-    if prev_p is not None:
-        ev = detect_event(prev_p, p, threshold_w=5.0, window_index=w.index)
-        if ev:
-            events.append(ev)
-            print(f"event at window {ev.window_index}: dP = {ev.delta_p_w:+7.2f} W "
-                  f"({ev.direction})")
-            pending.append(ev)
-    for ev in [e for e in pending if w.index >= e.window_index + 20]:
-        delta = delta_feature(buffer, ev.window_index)
-        print(f"  delta vector ready: P component {delta[0]:+7.2f} W, "
-              f"|S| component {delta[1]:+7.2f} VA")
-        pending.remove(ev)
-    prev_p = p
+for j in range(1, len(features)):
+    ev = detect_event(features[j - 1, 0], features[j, 0], threshold_w=5.0, window_index=j)
+    if ev:
+        events.append(ev)
+        print(f"event at window {ev.window_index}: dP = {ev.delta_p_w:+7.2f} W "
+              f"({ev.direction})")
+        if 20 <= j < len(features) - 20:
+            delta = delta_feature(features, j)
+            print(f"  delta vector over windows {j - 20}..{j + 20}: P component "
+                  f"{delta[0]:+7.2f} W, |S| component {delta[1]:+7.2f} VA")
 
 flags = event_guard(events)
 print(f"\nguard: {sum(flags)}/{len(flags)} events valid "

@@ -2,34 +2,31 @@
 running the online window -> features -> event -> classify loop.
 
 One in-order event core serves both the offline differential-vector
-dataset and the online classifier. It reads the stream as consecutive
+dataset and the online classifier, and yields one (event, valid, vector)
+per result, in window order. It reads the stream as consecutive
 (32, 1000) row blocks from signals.window_blocks (features.EXTRACT_BLOCK
 windows, 3.2 s of signal) and keeps the blocks that cover the last 41
 windows, as views into the stream. Every window gets its real power, one
 features.real_power_matrix call per block (no |S|, Q or FFT), and the
 core steps that track through threshold detection one window at a time.
-An event detected at window j resolves at window j+20: the +-20-window
-guard decides it and, if it is valid, the six windows of its
-differential vector are extracted in the model's layout in one
-extract_feature_matrix call. The full vector of any other window is
-extracted only when a result reads it, so the harmonic FFT runs on the
-windows a result needs and on no others. Events still open at end of
-stream come out unresolved. Single-appliance mode labels the window
-where the power threshold crossing is observed; multi-appliance mode
-labels resolved events and reports the rest as invalid or pending.
-Blocks change when a result is ready, up to 31 windows later, never what
-it is: a window's features do not depend on its block, on which other
-windows are extracted with it, or on the stream's memory layout.
-window_dataset reads the same blocks and extracts only their steady
-rows. No path builds a SampleWindow.
+Single-appliance mode reports each event at its own window with that
+window's full vector. Otherwise an event detected at window j comes out
+at window j+20: the +-20-window guard decides it and, if it is valid,
+the six windows of its differential vector are extracted in the model's
+layout in one extract_feature_matrix call. Events still open at end of
+stream come out valid with no vector. So the harmonic FFT runs on the
+windows a result needs and on no others. Blocks change when a result is
+ready, up to 31 windows later, never what it is: a window's features do
+not depend on its block, on which other windows are extracted with it,
+or on the stream's memory layout. window_dataset reads the same blocks
+and extracts only their steady rows. No path builds a SampleWindow.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +37,7 @@ from .events import (
     DELTA_OFFSETS_PRE,
     GUARD_RADIUS,
     SwitchEvent,
-    check_sign,
+    check_threshold,
     delta_feature,  # noqa: F401 - perfbench/spans.py wraps it at this name
     delta_feature_from_windows,
     detect_event,
@@ -62,21 +59,19 @@ from .train.dataset import Dataset
 
 
 def _event_core(
-    stream: SampleStream, layout: FeatureLayout, threshold_w: float, sign: str,
-    resolve: bool = True,
-) -> Iterator[tuple[Callable[[], np.ndarray] | None, SwitchEvent | None, list[tuple]]]:
-    """Yield (features, event detected here or None, events resolved here)
-    per window, then (None, None, events left open) once the stream ends.
+    stream: SampleStream, layout: FeatureLayout, threshold_w: float, single: bool = False,
+) -> Iterator[tuple[SwitchEvent, bool, np.ndarray | None]]:
+    """Yield (event, valid, x) per result, in window order.
 
-    features is a no-argument callable that extracts the window's full
-    vector in the layout when called; it stays valid after the core moves
-    on. A resolved event is (event, valid, delta): delta is None when the
-    guard rejects the event or the stream has no window j-20. Open events
-    come out valid with delta None. The guard and the delta both need
-    every window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN. With
-    resolve=False no event is resolved or left open, so no differential
-    vector is extracted."""
-    check_sign(sign)
+    With single=True every event comes out at its own window, valid, and x
+    is that window's full vector in the layout. Otherwise an event at
+    window j comes out at window j+20 with the guard's verdict, and x is
+    its differential vector, or None when the guard rejects the event or
+    the stream has no window j-20; events still open at end of stream
+    come out as (event, True, None). The guard and the delta both need
+    every window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN. The
+    threshold is checked before the first window is read."""
+    check_threshold(threshold_w)
     blocks: deque[tuple[int, np.ndarray, np.ndarray]] = deque()  # cover windows w-40 .. w
     recent: deque[SwitchEvent] = deque()  # events the guard may still need
     open_events: deque[SwitchEvent] = deque()
@@ -91,10 +86,11 @@ def _event_core(
             w = first + k
             ev = None if prev_p is None else detect_event(prev_p, p, threshold_w, window_index=w)
             prev_p = p
-            if ev is not None and resolve:
+            if ev is not None and single:
+                yield ev, True, _window_rows(blocks, [w], layout)[0]
+            elif ev is not None:
                 recent.append(ev)
                 open_events.append(ev)
-            resolved = []
             j = w - DELTA_HALF_SPAN
             if open_events and open_events[0].window_index == j:
                 due = open_events.popleft()
@@ -106,15 +102,10 @@ def _event_core(
                 if valid and j >= DELTA_HALF_SPAN:  # window j-20 exists
                     rows = _window_rows(blocks, [j + off for off in DELTA_OFFSETS_PRE
                                                  + DELTA_OFFSETS_POST], layout)
-                    delta = delta_feature_from_windows(rows[:3], rows[3:], sign=sign)
-                resolved.append((due, valid, delta))
-            yield partial(_window_row, v, i, k, layout), ev, resolved
-    yield None, None, [(e, True, None) for e in open_events]
-
-
-def _window_row(v: np.ndarray, i: np.ndarray, k: int, layout: FeatureLayout) -> np.ndarray:
-    """Row k of a block, extracted in the layout."""
-    return extract_feature_matrix(v[k : k + 1], i[k : k + 1], layout)[0]
+                    delta = delta_feature_from_windows(rows[:3], rows[3:])
+                yield due, valid, delta
+    for ev in open_events:
+        yield ev, True, None
 
 
 def _window_rows(blocks, windows: list[int], layout: FeatureLayout) -> np.ndarray:
@@ -156,7 +147,6 @@ def delta_dataset(
     layout: FeatureLayout = DEFAULT_LAYOUT,
     class_names: tuple[str, ...] | None = None,
     threshold_w: float = DEFAULT_THRESHOLD_W,
-    sign: str = "pre_minus_post",
     provenance: str = "synthetic-delta",
 ) -> Dataset:
     """Differential-vector dataset: one row per valid detected event whose
@@ -168,12 +158,11 @@ def delta_dataset(
     index_of = {name: k for k, name in enumerate(class_names)}
 
     rows, labels = [], []
-    for _, _, resolved in _event_core(stream, layout, threshold_w, sign):
-        for ev, _, delta in resolved:
-            label = None if delta is None else _matching_toggle(track, ev.window_index)
-            if label is not None:
-                rows.append(delta)
-                labels.append(index_of[label])
+    for ev, _, delta in _event_core(stream, layout, threshold_w):
+        label = None if delta is None else _matching_toggle(track, ev.window_index)
+        if label is not None:
+            rows.append(delta)
+            labels.append(index_of[label])
     return _dataset(rows, labels, class_names, layout, provenance, "valid labeled events")
 
 
@@ -213,25 +202,20 @@ def classify_stream(
     model: BaseModel,
     mode: str = "single",
     threshold_w: float = DEFAULT_THRESHOLD_W,
-    sign: str = "pre_minus_post",
 ) -> list[StreamLabel]:
     """Run the full online pipeline over a stream with the given model."""
     if mode not in ("single", "multi"):
         raise ValueError(f"mode must be 'single' or 'multi', got {mode!r}")
     out: list[StreamLabel] = []
-    core = _event_core(stream, model.layout, threshold_w, sign, resolve=mode == "multi")
-    for features, ev, resolved in core:
-        if mode == "single":  # label each event at once from its own window
-            resolved = [] if ev is None else [(ev, True, features())]
-        for ev, valid, x in resolved:
-            if not valid:
-                status, label = "invalid", None
-            elif x is None:  # lookahead or look-back never filled
-                status, label = "pending", None
-            else:
-                status, label = "labeled", model.class_names[classify_matrix(model, x[None, :])[0]]
-            out.append(StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
-                                   valid=valid, status=status, label=label))
+    for ev, valid, x in _event_core(stream, model.layout, threshold_w, single=mode == "single"):
+        if not valid:
+            status, label = "invalid", None
+        elif x is None:  # lookahead or look-back never filled
+            status, label = "pending", None
+        else:
+            status, label = "labeled", model.class_names[classify_matrix(model, x[None, :])[0]]
+        out.append(StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
+                               valid=valid, status=status, label=label))
     return out
 
 

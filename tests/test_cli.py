@@ -323,6 +323,14 @@ class TestFormatAndDataErrors:
                            "--out", str(tmp_path / "events.csv"))
         assert code == 2 and "magic" in err
 
+    def test_classify_rejects_nan_threshold(self, synth_dir, rf_model, tmp_path, capsys):
+        # argparse reads "nan" as a float; the pipeline must refuse it
+        out = tmp_path / "events.csv"
+        code, _, err = run(capsys, "classify", "--samples", str(synth_dir / "samples.bin"),
+                           "--model", str(rf_model), "--threshold-w", "nan", "--out", str(out))
+        assert code == 2 and "threshold" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--dataset", "d.csv", "--kind", "rf"],
         ["mda", "--dataset", "d.csv", "--kind", "rf"],

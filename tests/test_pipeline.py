@@ -12,10 +12,12 @@ from helpers import (
     stream_features_oracle,
 )
 import nilmedge.features as features_module
+from nilmedge.events import delta_feature
 from nilmedge.features import (
     DEFAULT_LAYOUT,
     FREQUENCY_ONLY_LAYOUT,
     FeatureLayout,
+    extract_feature_matrix,
     feature_matrix,
     write_features_csv,
 )
@@ -28,11 +30,15 @@ from nilmedge.pipeline import (
     write_stream_labels_csv,
 )
 from nilmedge.scenarios import MULTI5_REGISTRY, overlapping_script
-from nilmedge.signals import SampleStream, SampleWindow, window_stream
+from nilmedge.signals import SampleStream, SampleWindow, window_blocks, window_stream
 from nilmedge.synth import ApplianceModel, Mains, ScenarioEvent, ScenarioScript, synth_scenario
 from nilmedge.train import Dataset, train_knn, train_rf
 
 MAINS = Mains()
+
+BAD_THRESHOLDS = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+BAD_THRESHOLD_MESSAGE = "threshold must be a finite positive number"
+EMPTY_STREAM = SampleStream(v=np.zeros(0), i=np.zeros(0))
 
 TWO_APPS = {
     "heater": ApplianceModel(kind="resistive", nominal_power_w=150.0),
@@ -107,10 +113,12 @@ class TestDeltaDataset:
         d = delta_dataset(stream, track, class_names=("fan", "heater"))
         assert d.n == 4  # the first two events invalidate each other
 
-    def test_unknown_sign_rejected(self):
+    @pytest.mark.parametrize("threshold_w", BAD_THRESHOLDS)
+    def test_bad_threshold_rejected(self, threshold_w):
         stream, track = synth_scenario(two_app_script(), TWO_APPS, seed=1)
-        with pytest.raises(ValueError, match="sign"):
-            delta_dataset(stream, track, class_names=("fan", "heater"), sign="bogus")
+        for s in (stream, EMPTY_STREAM):
+            with pytest.raises(ValueError, match=BAD_THRESHOLD_MESSAGE):
+                delta_dataset(s, track, class_names=("fan", "heater"), threshold_w=threshold_w)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rows_equal_online_deltas_on_multi5(self, seed):
@@ -123,10 +131,10 @@ class TestDeltaDataset:
         stream, track = synth_scenario(replace(base, events=events), MULTI5_REGISTRY, seed=seed)
         d = delta_dataset(stream, track, class_names=names)
 
+        n_windows = len(stream) // 1000
         online = {ev.window_index: (valid, delta)
-                  for values, _, resolved in _event_core(stream, d.layout, 5.0, "pre_minus_post")
-                  if values is not None
-                  for ev, valid, delta in resolved}
+                  for ev, valid, delta in _event_core(stream, d.layout, 5.0)
+                  if ev.window_index + 20 < n_windows}
         oracle = delta_oracle(stream)
         assert online.keys() == oracle.keys()
         verdicts = [online[j][0] for j in sorted(online)]
@@ -142,6 +150,17 @@ class TestDeltaDataset:
         assert len(matched) == d.n > 0
         for row, delta in zip(d.x, matched):
             assert np.array_equal(row, delta)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_delta_feature_over_the_stream_matrix_equals_core_deltas(self, seed):
+        stream, _ = golden_multi5(seed)
+        _, v, i = next(window_blocks(stream, len(stream) // 1000))
+        features = extract_feature_matrix(v, i)
+        deltas = [(ev.window_index, delta)
+                  for ev, _, delta in _event_core(stream, DEFAULT_LAYOUT, 5.0) if delta is not None]
+        assert deltas
+        for j, delta in deltas:
+            assert_same_bits(delta_feature(features, j), delta)
 
 
 class TestClassifyStream:
@@ -247,14 +266,15 @@ class TestClassifyStream:
         with pytest.raises(ValueError):
             classify_stream(stream, model, mode="both")
 
-    def test_unknown_sign_rejected_before_any_event(self, single7_run):
+    @pytest.mark.parametrize("threshold_w", BAD_THRESHOLDS)
+    def test_bad_threshold_rejected_before_any_window(self, single7_run, threshold_w):
+        # unchecked, a NaN threshold makes every window step an event: 99 on 100 windows
         stream, track, _ = single7_run
         model = train_knn(window_dataset(stream, track), k=3)
-        script = ScenarioScript(mains=MAINS, events=(), duration_s=3.0, noise_rms_a=0.02)
-        steady, _ = synth_scenario(script, TWO_APPS, seed=3)
-        for mode in ("single", "multi"):
-            with pytest.raises(ValueError, match="sign"):
-                classify_stream(steady, model, mode=mode, sign="bogus")
+        for s in (head(stream, 100), head(stream, 1), EMPTY_STREAM):
+            for mode in ("single", "multi"):
+                with pytest.raises(ValueError, match=BAD_THRESHOLD_MESSAGE):
+                    classify_stream(s, model, mode=mode, threshold_w=threshold_w)
 
     def test_event_before_window_20_pending_online_skipped_offline(self):
         events = (
