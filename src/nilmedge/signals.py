@@ -60,15 +60,25 @@ class RawSampleBlock:
     rate_hz: int = ACQUISITION_RATE_HZ
 
     def __post_init__(self):
-        object.__setattr__(self, "codes_v", np.asarray(self.codes_v, dtype=np.int64))
-        object.__setattr__(self, "codes_i", np.asarray(self.codes_i, dtype=np.int64))
+        object.__setattr__(self, "codes_v", _adc_codes("voltage", self.codes_v))
+        object.__setattr__(self, "codes_i", _adc_codes("current", self.codes_i))
         if self.codes_v.shape != self.codes_i.shape:
             raise LengthMismatchError(
                 f"channel lengths differ: {self.codes_v.size} voltage vs {self.codes_i.size} current codes"
             )
-        for name, codes in (("voltage", self.codes_v), ("current", self.codes_i)):
-            if codes.size and (codes.min() < 0 or codes.max() > ADC_CODE_MAX):
-                raise ValueError(f"{name} codes outside the 14-bit range [0, {ADC_CODE_MAX}]")
+
+
+def _adc_codes(name: str, codes) -> np.ndarray:
+    """One channel's codes as int64, or ValueError naming the channel. Only
+    float input is checked value by value: an integer dtype holds whole numbers."""
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iuf":  # bool, complex, text, objects
+        raise ValueError(f"{name} codes must be whole numbers, not {codes.dtype} values")
+    if codes.dtype.kind == "f" and not (codes == np.trunc(codes)).all():  # NaN too; inf fails the range
+        raise ValueError(f"{name} codes must be whole numbers")
+    if codes.size and (codes.min() < 0 or codes.max() > ADC_CODE_MAX):
+        raise ValueError(f"{name} codes outside the 14-bit range [0, {ADC_CODE_MAX}]")
+    return np.asarray(codes, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,15 @@ class TestTrainAndCost:
                 "--trees", "10", "--depth", "6", "--seed", "9", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("option, value, name", [("--depth", "-1", "max_depth"),
+                                                     ("--trees", "0", "n_trees")])
+    def test_bad_forest_size_is_data_error(self, dataset_file, tmp_path, capsys, option, value, name):
+        model_path = tmp_path / "rf.nlmm"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset_file), "--kind", "rf",
+                           option, value, "--out", str(model_path))
+        assert code == 2 and name in err
+        assert not model_path.exists()
+
     def test_cost_report_and_strict_budget(self, dataset_file, tmp_path, capsys):
         model_path = tmp_path / "rf.nlmm"
         run(capsys, "train", "--dataset", str(dataset_file), "--kind", "rf",

@@ -77,6 +77,22 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             RawSampleBlock(codes_v=[16384], codes_i=[0])
 
+    @pytest.mark.parametrize("bad", [[1.5, 2.0], [np.nan, 2.0], [np.inf, 2.0], [-np.inf, 2.0],
+                                     np.array([True, False]), [1 + 0j, 2 + 0j], ["1", "2"]])
+    @pytest.mark.parametrize("channel", ["voltage", "current"])
+    def test_codes_that_are_not_whole_numbers_rejected(self, bad, channel):
+        good = [3, 4]
+        codes = {"codes_v": bad, "codes_i": good} if channel == "voltage" else {"codes_v": good, "codes_i": bad}
+        with pytest.raises(ValueError, match=f"^{channel} codes"):
+            RawSampleBlock(**codes)
+
+    @pytest.mark.parametrize("codes", [[3.0, 4.0], np.array([3, 4], dtype=np.uint16),
+                                       np.array([3, 4], dtype=np.int8), [-0.0, 4.0]])
+    def test_whole_number_codes_of_any_numeric_dtype_kept(self, codes):
+        block = RawSampleBlock(codes_v=codes, codes_i=codes)
+        assert block.codes_v.dtype == np.int64
+        assert np.array_equal(block.codes_v, np.asarray(codes, dtype=np.float64))
+
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError):
             CalibrationCoefficients(gain_v=0.0, offset_v=0.0, gain_i=1.0, offset_i=0.0)

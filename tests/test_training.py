@@ -69,6 +69,27 @@ class TestRf:
         m = train_rf(d, n_trees=10, max_depth=4, seed=0)
         assert max(t.worst_case_depth() for t in m.trees) <= 4
 
+    @pytest.mark.parametrize("params, name", [
+        ({"max_depth": -1}, "max_depth"),
+        ({"max_depth": -2}, "max_depth"),
+        ({"max_depth": 2.5}, "max_depth"),
+        ({"max_depth": 3.0}, "max_depth"),
+        ({"max_depth": True}, "max_depth"),
+        ({"max_depth": "4"}, "max_depth"),
+        ({"n_trees": 0}, "n_trees"),
+        ({"n_trees": 1.0}, "n_trees"),
+        ({"n_trees": True}, "n_trees"),
+        ({"n_trees": None}, "n_trees"),
+    ])
+    def test_bad_size_rejected_naming_it(self, params, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            train_rf(blob_dataset(per_class=5), **{"n_trees": 2, **params})
+
+    def test_numpy_int_sizes_accepted(self):
+        d = blob_dataset(per_class=10)
+        a = train_rf(d, n_trees=np.int64(3), max_depth=np.int32(2), seed=4)
+        assert serialize(a) == serialize(train_rf(d, n_trees=3, max_depth=2, seed=4))
+
 
 class TestMlp:
     def test_gradients_match_central_differences(self):
