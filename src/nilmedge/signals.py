@@ -4,6 +4,9 @@ and 100 ms windowing of voltage/current sample streams.
 The numeric contract mirrors a metering front end that digitizes both channels
 with a 14-bit converter at 20 kHz, averages sample pairs down to 10 kHz, and
 hands the DSP stage non-overlapping frames of 1000 samples per channel.
+Raw codes are held as the converter delivers them, 2 bytes each (int16), and
+calibrated slice by slice straight into the float output, with no code table
+and no whole-array intermediate.
 `window_blocks` hands those frames over as (n, 1000) row views of the
 stream, the form the feature and event stages read; `window_stream` is its
 one-window form, one `SampleWindow` per frame.
@@ -53,7 +56,11 @@ def default_calibration(v_span: float = 800.0, i_span: float = 100.0) -> Calibra
 
 @dataclass(frozen=True)
 class RawSampleBlock:
-    """Uncalibrated ADC codes for both channels at the acquisition rate."""
+    """Uncalibrated ADC codes for both channels at the acquisition rate.
+
+    Each channel is a read-only int16 copy that the block owns, 2 bytes per
+    code: a later write to the caller's array cannot reach it, and a write
+    to the block's raises."""
 
     codes_v: np.ndarray
     codes_i: np.ndarray
@@ -69,8 +76,9 @@ class RawSampleBlock:
 
 
 def _adc_codes(name: str, codes) -> np.ndarray:
-    """One channel's codes as int64, or ValueError naming the channel. Only
-    float input is checked value by value: an integer dtype holds whole numbers."""
+    """One channel's codes as a read-only int16 copy, or ValueError naming
+    the channel. Only float input is checked value by value: an integer
+    dtype holds whole numbers."""
     codes = np.asarray(codes)
     if codes.dtype.kind not in "iuf":  # bool, complex, text, objects
         raise ValueError(f"{name} codes must be whole numbers, not {codes.dtype} values")
@@ -78,7 +86,9 @@ def _adc_codes(name: str, codes) -> np.ndarray:
         raise ValueError(f"{name} codes must be whole numbers")
     if codes.size and (codes.min() < 0 or codes.max() > ADC_CODE_MAX):
         raise ValueError(f"{name} codes outside the 14-bit range [0, {ADC_CODE_MAX}]")
-    return np.asarray(codes, dtype=np.int64)
+    owned = codes.astype(np.int16)  # always a copy
+    owned.flags.writeable = False
+    return owned
 
 
 @dataclass(frozen=True)
@@ -132,13 +142,28 @@ class SampleWindow:
 def calibrate_raw(block: RawSampleBlock, coeffs: CalibrationCoefficients) -> SampleStream:
     """Apply the affine calibration to both channels, preserving length and rate.
 
-    Each channel is calibrated through a table of code * gain + offset for
-    all 16,384 codes, the same arithmetic per code as on every sample, so
-    a gather gives the same bits."""
-    codes = np.arange(ADC_CODE_MAX + 1)
-    v = np.take(codes * coeffs.gain_v + coeffs.offset_v, block.codes_v)
-    i = np.take(codes * coeffs.gain_i + coeffs.offset_i, block.codes_i)
+    Every sample is float(code) * gain + offset, rounded after the product
+    and after the sum, as the scalar arithmetic rounds it. The 2-byte codes
+    are calibrated in 16,384-code slices written straight into the float64
+    output: no code table, and nothing the size of the stream but the output."""
+    v = _calibrated(block.codes_v, coeffs.gain_v, coeffs.offset_v)
+    i = _calibrated(block.codes_i, coeffs.gain_i, coeffs.offset_i)
     return SampleStream(v=v, i=i, rate_hz=block.rate_hz)
+
+
+_CALIBRATE_BLOCK = 16_384  # codes per slice: 32 KiB in, 128 KiB out
+
+
+def _calibrated(codes: np.ndarray, gain: float, offset: float) -> np.ndarray:
+    """codes * gain + offset in float64, one cache-sized slice at a time,
+    each written straight into the output."""
+    gain, offset = float(gain), float(offset)  # int16 times a float32 gain would be float32
+    out = np.empty(codes.size)
+    for lo in range(0, codes.size, _CALIBRATE_BLOCK):
+        seg = out[lo : lo + _CALIBRATE_BLOCK]
+        np.multiply(codes[lo : lo + _CALIBRATE_BLOCK], gain, out=seg)
+        seg += offset
+    return out
 
 
 def decimate_average(samples: np.ndarray) -> np.ndarray:

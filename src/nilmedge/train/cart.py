@@ -3,10 +3,13 @@
 Each tree sees a bootstrap resample (n draws with replacement) and, at every
 node, ceil(sqrt(f)) candidate features drawn without replacement. The best
 split minimizes the weighted Gini impurity of the children; thresholds sit
-at the midpoint between adjacent distinct sorted values. A node becomes a
-leaf when it is pure, the depth limit is reached, or no split improves on
-the parent impurity. Per-tree RNG streams derive from (seed, tree index), so
-training is reproducible and order-independent.
+at the midpoint between adjacent distinct sorted values, or at the lower of
+the two where that midpoint does not fall in [lower, upper) (it overflows
+to an infinity, or rounds onto the upper of two adjacent floats, which
+would send every row to one side). A node becomes a leaf when it is pure,
+the depth limit is reached, or no split improves on the parent impurity.
+Per-tree RNG streams derive from (seed, tree index), so training is
+reproducible and order-independent.
 
 Each fit first replaces every value by its rank among its column's
 distinct values (`_rank_codes`): uint16 codes, uint32 above 65,536 rows,
@@ -16,13 +19,12 @@ sorts its code columns with numpy's stable sort, a radix sort for 16-bit
 integers. The forests are byte for byte those of a search on the floats.
 Equal values share a code (-0.0 and +0.0 too) and codes keep value order,
 so a stable sort of codes orders the rows as a stable sort of the values
-does, and every score comes from the same class sums. A threshold is still
-the midpoint of the two values at the cut, and the rows sent left are those
-whose code is below the count of values <= threshold: x <= threshold row
-for row, also where the midpoint of two adjacent floats rounds onto the
-upper one. The codes come from one stable argsort per column, not from
-`np.unique`, which imports `numpy.ma` (about 2 MiB of peak memory) on its
-first call in a process.
+does, and every score comes from the same class sums. The threshold
+follows the rule above, and the rows sent left are those whose code is
+below the count of values <= threshold: x <= threshold row for row. The
+codes come from one stable argsort per column, not from `np.unique`,
+which imports `numpy.ma` (about 2 MiB of peak memory) on its first call
+in a process.
 
 Split search scores the whole (rows, candidates) block at once: one stable
 sort per column, then the Gini at cut positions only, from running sums of
@@ -140,14 +142,16 @@ def _coded_split(codes, values, y, feature_ids, parent_counts):
     col = int(weighted[rows, columns].argmin())
     cut = rows[col]
     f = int(feature_ids[col])
-    threshold = (values[f][cs[cut, col]] + values[f][cs[cut + 1, col]]) / 2.0
+    lower, upper = values[f][cs[cut, col]], values[f][cs[cut + 1, col]]
+    threshold = (lower + upper) / 2.0
+    if not lower <= threshold < upper:  # overflowed, or rounded onto upper
+        threshold = lower  # x <= threshold then sends exactly the scored rows left
     return f, float(threshold), float(weighted[cut, col])
 
 
 def _goes_left(codes, values, f, thr) -> np.ndarray:
     """x[:, f] <= thr for the rows behind codes: the codes below the count
-    of values <= thr. That holds wherever thr falls, also where the midpoint
-    of two adjacent floats rounds onto the upper one or overflows to inf."""
+    of values <= thr."""
     return codes[:, f] < values[f].searchsorted(thr, side="right")
 
 

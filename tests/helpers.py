@@ -251,7 +251,9 @@ def leaf_oracle(tree: TreeNodes, x) -> int:
 
 def best_split_oracle(x, y, feature_ids, n_classes):
     """Per-feature loop: sort one candidate column at a time, keep the first
-    strictly better weighted child Gini."""
+    strictly better weighted child Gini. The threshold is the midpoint of
+    the two values at the cut, or the lower one where the midpoint falls
+    outside [lower, upper)."""
     n = y.size
     parent_counts = np.bincount(y, minlength=n_classes)
     best = None
@@ -273,7 +275,10 @@ def best_split_oracle(x, y, feature_ids, n_classes):
         weighted = (nl * gini_l + nr * gini_r) / n
         k = int(np.argmin(weighted))
         if best is None or weighted[k] < best[2]:
-            threshold = (xs[cut[k]] + xs[cut[k] + 1]) / 2.0
+            lower, upper = xs[cut[k]], xs[cut[k] + 1]
+            threshold = (lower + upper) / 2.0
+            if not lower <= threshold < upper:  # the midpoint would not separate them
+                threshold = lower
             best = (int(f), float(threshold), float(weighted[k]))
     return best
 

@@ -66,13 +66,30 @@ def test_huge_values_whose_midpoint_overflows(seed):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_overflowing_midpoint_sends_every_row_left():
+def test_overflowing_midpoint_splits_at_the_lower_value():
     x = np.array([[1.7e308], [1.7e308], [1.75e308], [1.75e308]])
     y = np.array([0, 0, 1, 1])
     f, thr, score = assert_matches_oracle(x, y, np.array([0]), 2)
-    assert (f, thr, score) == (0, np.inf, 0.0)
+    assert (f, thr, score) == (0, 1.7e308, 0.0)  # the midpoint is inf
     codes, values = _rank_codes(x)
-    assert _goes_left(codes, values, 0, thr).all()
+    assert np.array_equal(_goes_left(codes, values, 0, thr), y == 0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("max_depth", [5, None])
+@pytest.mark.parametrize("a, b", [(1.7e308, 1.75e308), (-1.75e308, -1.7e308),
+                                  (1 + 2**-52, 1 + 2**-51), (5e-324, 1e-323)])
+def test_a_midpoint_outside_the_cut_still_separates_the_classes(a, b, max_depth):
+    # the midpoint of a and b is +-inf or rounds onto b, so x <= midpoint
+    # would send every row left and the same split would repeat below
+    assert not a <= (a + b) / 2.0 < b
+    x = np.array([[a], [a], [b], [b]] * 5)
+    y = np.array([0, 0, 1, 1] * 5)
+    d = Dataset(x=x, y=y, class_names=("a", "b"), layout=small_layout(1))
+    m = train_rf(d, n_trees=1, max_depth=max_depth, seed=0)
+    tree = m.trees[0]
+    assert tree.n_nodes == 3 and float(tree.threshold[0]) == a
+    assert np.array_equal(m.predict_matrix(x), y)
 
 
 def odd_mantissa(a):
@@ -94,7 +111,7 @@ def test_adjacent_floats_whose_midpoint_rounds_onto_the_upper_value(seed):
     got = assert_matches_oracle(x, y, np.arange(4), 2)
     if got is not None:
         f, thr, _ = got
-        assert thr == upper[f]  # the upper rows go left too, as x <= thr says
+        assert thr == lower[f]  # the midpoint, upper[f], would send every row left
 
 
 def test_uint16_codes_reach_65535():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,8 +92,52 @@ class TestCalibrate:
                                        np.array([3, 4], dtype=np.int8), [-0.0, 4.0]])
     def test_whole_number_codes_of_any_numeric_dtype_kept(self, codes):
         block = RawSampleBlock(codes_v=codes, codes_i=codes)
-        assert block.codes_v.dtype == np.int64
+        assert block.codes_v.dtype == np.int16
         assert np.array_equal(block.codes_v, np.asarray(codes, dtype=np.float64))
+
+    def test_codes_take_two_bytes_each(self, rng):
+        block = RawSampleBlock(codes_v=rng.integers(0, 16384, size=1001),
+                               codes_i=rng.integers(0, 16384, size=1001))
+        assert block.codes_v.nbytes == block.codes_i.nbytes == 2 * 1001
+
+    def test_block_owns_its_codes(self):
+        src = np.array([3, 4, 5], dtype=np.int64)
+        block = RawSampleBlock(codes_v=src, codes_i=src)
+        src[0] = -5  # out of range, written after the range check
+        assert block.codes_v.tolist() == block.codes_i.tolist() == [3, 4, 5]
+        assert calibrate_raw(block, BIPOLAR).v[0] == 3 * BIPOLAR.gain_v + BIPOLAR.offset_v
+        with pytest.raises(ValueError, match="read-only"):
+            block.codes_v[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            block.codes_i[1] = 1
+
+    @pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385, 3 * 16384 + 7])
+    def test_sliced_calibration_equals_the_scalar_arithmetic(self, n):
+        # the calibration runs in 16,384-code slices; lengths at and around
+        # a slice boundary must give the bits of one product and one sum
+        rng = np.random.default_rng(n)
+        codes_v, codes_i = rng.integers(0, 16384, size=(2, n))
+        coeffs = default_calibration()
+        out = calibrate_raw(RawSampleBlock(codes_v=codes_v, codes_i=codes_i), coeffs)
+        expected_v = np.array([float(c) * coeffs.gain_v + coeffs.offset_v for c in codes_v.tolist()])
+        expected_i = np.array([float(c) * coeffs.gain_i + coeffs.offset_i for c in codes_i.tolist()])
+        assert out.v.dtype == out.i.dtype == np.float64
+        assert out.v.tobytes() == expected_v.tobytes() and out.i.tobytes() == expected_i.tobytes()
+
+    def test_calibration_allocates_only_its_outputs(self, rng):
+        # numpy reports its buffers to tracemalloc, so a whole-array
+        # intermediate, such as the index array a gather over int16 codes
+        # makes, shows
+        n = 2_000_000
+        block = RawSampleBlock(codes_v=rng.integers(0, 16384, size=n),
+                               codes_i=rng.integers(0, 16384, size=n))
+        tracemalloc.start()
+        try:
+            out = calibrate_raw(block, default_calibration())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.v.nbytes + out.i.nbytes + 2**20
 
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError):
