@@ -13,24 +13,22 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import scenarios
 from .cost import CORTEX_M4_PAPER, cost_report, load_profile
 from .features import (
     DEFAULT_LAYOUT,
-    EXTRACT_BLOCK,
     FREQUENCY_ONLY_LAYOUT,
     TIME_ONLY_LAYOUT,
-    extract_feature_matrix,
+    feature_matrix,
     write_features_csv,
 )
 from .models.io import load_model, save_model
 from .pipeline import classify_stream, write_stream_labels_csv
 from .sampleio import FORMATS, load_samples, save_samples
-from .signals import ACQUISITION_RATE_HZ, decimate_stream, window_blocks
+from .signals import ACQUISITION_RATE_HZ, decimate_stream
 from .synth import parse_scenario_script, synth_scenario
 from .train import (
+    MODEL_KINDS,
     GridSpec,
     derive_seed,
     evaluate,
@@ -40,6 +38,7 @@ from .train import (
     sweep_feature_count,
     train_model,
 )
+from .train.selection import check_drop_tolerance
 from .models.base import classify_matrix
 
 USAGE_ERROR, DATA_ERROR, BUDGET_ERROR = 1, 2, 3
@@ -58,10 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _echo_seed(seed: int) -> None:
-    print(f"seed: {seed}")
-
-
 def _hyperparams(args, kind: str) -> dict:
     if kind == "knn":
         return {"k": args.k}
@@ -74,7 +69,7 @@ def _hyperparams(args, kind: str) -> dict:
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True, choices=("knn", "svm", "mlp", "rf"))
+    p.add_argument("--kind", required=True, choices=MODEL_KINDS)
     p.add_argument("--k", type=int, default=5, help="kNN neighbour count")
     p.add_argument("--c", type=float, default=10.0, help="SVM regularization")
     p.add_argument("--gamma", type=float, default=None, help="SVM rbf gamma (default 1/f)")
@@ -88,7 +83,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args) -> int:
-    _echo_seed(args.seed)
     if args.script:
         script, registry = parse_scenario_script(Path(args.script).read_text())
     else:
@@ -118,12 +112,9 @@ def _samples(args):
 
 
 def cmd_extract(args) -> int:
-    _echo_seed(args.seed)
     stream = _samples(args)
     layout = LAYOUTS[args.layout]
-    blocks = [extract_feature_matrix(v, i, layout)
-              for _, v, i in window_blocks(stream, EXTRACT_BLOCK)]
-    matrix = np.vstack(blocks or [np.empty((0, len(layout)))])
+    matrix = feature_matrix(stream, layout)
     out = args.out or "features.csv"
     write_features_csv(out, matrix, range(len(matrix)), layout)
     print(f"wrote {out}: {matrix.shape[0]} windows x {matrix.shape[1]} features")
@@ -131,7 +122,6 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _echo_seed(args.seed)
     d = load_dataset(args.dataset)
     train_part, test_part = split_dataset(d, args.train_frac, seed=derive_seed(args.seed, 0x5711))
     model = train_model(args.kind, train_part, _hyperparams(args, args.kind), seed=args.seed)
@@ -153,7 +143,6 @@ def _importance_note(report) -> str:
 
 
 def cmd_mda(args) -> int:
-    _echo_seed(args.seed)
     d = load_dataset(args.dataset)
     train_part, test_part = split_dataset(d, args.train_frac, seed=derive_seed(args.seed, 0x5711))
     report = mda_rank(args.kind, _hyperparams(args, args.kind), train_part, test_part,
@@ -167,7 +156,7 @@ def cmd_mda(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _echo_seed(args.seed)
+    check_drop_tolerance(args.drop_tolerance)  # before the MDA fits
     d = load_dataset(args.dataset)
     profile = load_profile(args.profile)
     train_part, test_part = split_dataset(d, args.train_frac, seed=derive_seed(args.seed, 0x5711))
@@ -197,7 +186,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _echo_seed(args.seed)
     stream = _samples(args)
     model = load_model(args.model)
     labels = classify_stream(stream, model, mode=args.mode, threshold_w=args.threshold_w)
@@ -209,7 +197,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    _echo_seed(args.seed)
     model = load_model(args.model)
     profile = load_profile(args.profile)
     report = cost_report(model, profile)
@@ -295,6 +282,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    print(f"seed: {args.seed}")
     try:
         return args.func(args)
     except SystemExit:

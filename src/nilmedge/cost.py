@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .features import FeatureLayout
 from .models.base import BaseModel
-from .models.io import model_kind
+from .models.io import KIND_CODES, model_kind
 from .records import dumps, jsonable, record_fields
 
 PROFILE_FORMAT = "nilmedge-cost-profile"
@@ -109,7 +109,7 @@ class CostProfile:
         missing = [r for r in EXTRACTION_ROWS if r not in self.extraction]
         if missing:
             raise ValueError(f"profile {self.name!r} lacks extraction rows {missing}")
-        for kind in ("knn", "svm", "mlp", "rf"):
+        for kind in KIND_CODES:
             if kind not in self.model_coefficients:
                 raise ValueError(f"profile {self.name!r} lacks coefficients for {kind!r}")
         for key in ("extraction", "model_coefficients"):

@@ -25,26 +25,25 @@ time. The event core takes only `real_power_matrix` (no |S|, Q or FFT)
 from each block, for the real-power track, and the full layout only for
 the rows a result reads: the six windows of a differential vector in one
 call, or the one window of a single-mode label. `window_dataset` and
-`nilmedge extract` extract whole blocks. `extract_features` is the
-one-row call, and `feature_matrix` stacks a sequence of window objects
-into it. A row comes out bit for bit the same in any block, with any rows
-beside it and in any memory layout: blocks are made C-contiguous first,
-so each product of a row is one BLAS dot of two contiguous 1000-sample
-rows (a strided dot sums in another order); the butterflies are
-elementwise; and magnitudes are np.hypot of the real and imaginary parts,
-which equals abs() of one complex scalar where np.abs of a complex array
-can differ in the last bit.
+`feature_matrix`, the whole-stream matrix that `nilmedge extract` writes,
+extract whole blocks; `extract_features` is the one-row call. A row comes
+out bit for bit the same in any block, with any rows beside it and in any
+memory layout: blocks are made C-contiguous first, so each product of a
+row is one BLAS dot of two contiguous 1000-sample rows (a strided dot sums
+in another order); the butterflies are elementwise; and magnitudes are
+np.hypot of the real and imaginary parts, which equals abs() of one
+complex scalar where np.abs of a complex array can differ in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleWindow
+from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream, SampleWindow, window_blocks
 
 FFT_SIZE = 1024
 HARMONIC_SCALE = 2.0 / WINDOW_SAMPLES
@@ -104,24 +103,12 @@ def fft_radix2(x: Sequence[float] | np.ndarray) -> np.ndarray:
     return a.reshape(shape)
 
 
-def dft_direct(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """O(N^2) discrete Fourier transform straight from the definition.
-
-    Kept as a slow reference implementation; tests use it as the oracle for
-    the radix-2 path."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    k = np.arange(n)
-    basis = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return basis @ x
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """One-sided spectrum of the zero-padded current window: 513 complex bins."""
 
     bins: np.ndarray
-    bin_hz: float = SAMPLE_RATE_HZ / FFT_SIZE
+    bin_hz = SAMPLE_RATE_HZ / FFT_SIZE  # a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "bins", np.asarray(self.bins, dtype=np.complex128))
@@ -333,11 +320,6 @@ def _pick_harmonics(spectra: np.ndarray, layout: FeatureLayout) -> np.ndarray:
     return out
 
 
-def extract_harmonics(spec: Spectrum, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
-    """Harmonic components per the layout, scaled by 2/1000."""
-    return _pick_harmonics(spec.bins[None], layout)[0]
-
-
 def extract_feature_matrix(v, i, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
     """Feature rows of a block of windows: (n, 1000) voltage and current
     samples in, (n, len(layout)) features out, in layout order.
@@ -360,16 +342,13 @@ def extract_features(w: SampleWindow, layout: FeatureLayout = DEFAULT_LAYOUT) ->
     return FeatureVector(values=values, layout=layout, window_index=w.index)
 
 
-def feature_matrix(windows: Iterable[SampleWindow], layout: FeatureLayout = DEFAULT_LAYOUT):
-    """Feature rows of the windows, in order; returns (matrix, window indices).
-
-    The windows are stacked EXTRACT_BLOCK at a time into
-    extract_feature_matrix calls."""
-    windows = list(windows)
-    blocks = [windows[k : k + EXTRACT_BLOCK] for k in range(0, len(windows), EXTRACT_BLOCK)]
-    rows = [extract_feature_matrix(np.stack([w.v for w in b]), np.stack([w.i for w in b]), layout)
-            for b in blocks]
-    return np.vstack(rows or [np.empty((0, len(layout)))]), [w.index for w in windows]
+def feature_matrix(stream: SampleStream, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
+    """(windows, len(layout)) feature rows of a 10 kHz stream, row j from
+    window j: window_blocks EXTRACT_BLOCK windows at a time, one
+    extract_feature_matrix call each."""
+    blocks = [extract_feature_matrix(v, i, layout)
+              for _, v, i in window_blocks(stream, EXTRACT_BLOCK)]
+    return np.vstack(blocks or [np.empty((0, len(layout)))])
 
 
 def write_features_csv(path, matrix: np.ndarray, window_indices: Sequence[int],

@@ -18,6 +18,11 @@ import numpy as np
 from ..features import FeatureLayout
 
 
+def whole_number(value, least: int) -> bool:
+    """value is an int, and not a bool, of at least `least`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 class ZeroVarianceError(ValueError):
     """A feature column is constant; distance/margin models cannot scale it."""
 
@@ -34,6 +39,8 @@ class Scaler:
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if self.mean.shape != self.std.shape:
             raise ValueError("mean and std must have the same shape")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValueError("scaler mean and std must be finite")
         if np.any(self.std <= 0):
             raise ZeroVarianceError("scaler std must be positive for every feature")
 
@@ -81,6 +88,13 @@ class BaseModel:
     @property
     def n_features(self) -> int:
         return len(self.selected_indices)
+
+    def _rows(self, x) -> np.ndarray:
+        """x as float rows this model's width; a 1-D x is one row."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {x.shape[1]}")
+        return x
 
     def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Select this model's columns from full-layout rows and scale them."""

@@ -68,18 +68,6 @@ class TreeNodes:
         if np.any((self.leaf_class[leaves] < 0) | (self.leaf_class[leaves] >= n_classes)):
             raise TreeIntegrityError("leaf class id out of range")
 
-    def worst_case_depth(self) -> int:
-        """Longest root-to-leaf path, counted in comparisons."""
-        depth = np.zeros(self.n_nodes, dtype=np.int64)
-        worst = 0
-        for node in range(self.n_nodes):
-            if self.feature[node] == LEAF:
-                worst = max(worst, int(depth[node]))
-            else:
-                depth[self.left[node]] = depth[node] + 1
-                depth[self.right[node]] = depth[node] + 1
-        return worst
-
     def route_matrix(self, x: np.ndarray) -> np.ndarray:
         """Leaf class for each row of x: the one-tree case of `NodeTable`."""
         return NodeTable.concat((self,)).leaf_classes(x)[:, 0]
@@ -216,10 +204,7 @@ class RfModel(BaseModel):
         return int(self.table.depths.sum())
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {x.shape[1]}")
-        return _majority(_votes(self.table.leaf_classes(x), self.n_classes))
+        return _majority(_votes(self.table.leaf_classes(self._rows(x)), self.n_classes))
 
     def column_predictor(self, matrix_full: np.ndarray):
         """A function (column, values) -> the class ids of `matrix_full`,

@@ -163,48 +163,57 @@ def _manifest(meta) -> list[tuple[str, np.dtype, list[int]]]:
 
 
 def _rebuild(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> BaseModel:
-    scaler = None
-    if meta["has_scaler"]:
-        scaler = Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])
-    common = dict(
-        class_names=tuple(meta["class_names"]),
-        layout=FeatureLayout.from_dict(meta["layout"]),
-        selected_indices=tuple(meta["selected_indices"]),
-        scaler=scaler,
-        metadata=meta.get("metadata", {}),
-    )
-    params = meta["params"]
-    if kind == "knn":
-        return KnnModel(**common, k=params["k"], train_x=arrays["train_x"], train_y=arrays["train_y"])
-    if kind == "svm":
-        return SvmModel(
-            **common,
-            kernel=params["kernel"],
-            gamma=float.fromhex(params["gamma_hex"]),
-            support=arrays["support"],
-            sv_counts=np.array(params["sv_counts"], dtype=np.int64),
-            dual_coef=arrays["dual_coef"],
-            intercepts=arrays["intercepts"],
+    """The model that the decoded header and arrays describe. A non-finite
+    real, or any value the model rejects, raises ModelIntegrityError."""
+    for name, arr in arrays.items():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ModelIntegrityError(f"array {name!r} holds a non-finite value")
+    try:
+        scaler = None
+        if meta["has_scaler"]:
+            scaler = Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])
+        common = dict(
+            class_names=tuple(meta["class_names"]),
+            layout=FeatureLayout.from_dict(meta["layout"]),
+            selected_indices=tuple(meta["selected_indices"]),
+            scaler=scaler,
+            metadata=meta.get("metadata", {}),
         )
-    if kind == "mlp":
-        n_layers = params["n_layers"]
-        return MlpModel(
-            **common,
-            weights=tuple(arrays[f"w{i}"] for i in range(n_layers)),
-            biases=tuple(arrays[f"b{i}"] for i in range(n_layers)),
-        )
-    trees = []
-    for t in range(params["n_trees"]):
-        trees.append(
-            TreeNodes(
-                feature=arrays[f"tree{t}_feature"],
-                threshold=arrays[f"tree{t}_threshold"],
-                left=arrays[f"tree{t}_left"],
-                right=arrays[f"tree{t}_right"],
-                leaf_class=arrays[f"tree{t}_leaf"],
+        params = meta["params"]
+        if kind == "knn":
+            return KnnModel(**common, k=params["k"],
+                            train_x=arrays["train_x"], train_y=arrays["train_y"])
+        if kind == "svm":
+            return SvmModel(
+                **common,
+                kernel=params["kernel"],
+                gamma=float.fromhex(params["gamma_hex"]),
+                support=arrays["support"],
+                sv_counts=np.array(params["sv_counts"], dtype=np.int64),
+                dual_coef=arrays["dual_coef"],
+                intercepts=arrays["intercepts"],
             )
-        )
-    return RfModel(**common, trees=tuple(trees))
+        if kind == "mlp":
+            n_layers = params["n_layers"]
+            return MlpModel(
+                **common,
+                weights=tuple(arrays[f"w{i}"] for i in range(n_layers)),
+                biases=tuple(arrays[f"b{i}"] for i in range(n_layers)),
+            )
+        trees = []
+        for t in range(params["n_trees"]):
+            trees.append(
+                TreeNodes(
+                    feature=arrays[f"tree{t}_feature"],
+                    threshold=arrays[f"tree{t}_threshold"],
+                    left=arrays[f"tree{t}_left"],
+                    right=arrays[f"tree{t}_right"],
+                    leaf_class=arrays[f"tree{t}_leaf"],
+                )
+            )
+        return RfModel(**common, trees=tuple(trees))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ModelIntegrityError(str(exc)) from None
 
 
 def deserialize(blob: bytes) -> BaseModel:
@@ -234,10 +243,7 @@ def deserialize(blob: bytes) -> BaseModel:
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if reader.pos != len(blob):
         raise ModelFormatError(f"{len(blob) - reader.pos} trailing bytes after the last section")
-    try:
-        return _rebuild(kind, meta, arrays)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ModelIntegrityError(str(exc)) from None
+    return _rebuild(kind, meta, arrays)
 
 
 def save_model(model: BaseModel, path: str | Path) -> None:
@@ -292,7 +298,4 @@ def from_json(text: str) -> BaseModel:
             arrays[name] = np.array(values, dtype=dtype).reshape(shape)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ModelIntegrityError(str(exc)) from None
-    try:
-        return _rebuild(kind, meta, arrays)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ModelIntegrityError(str(exc)) from None
+    return _rebuild(kind, meta, arrays)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseModel
+from .base import BaseModel, whole_number
 
 
 @dataclass(frozen=True)
@@ -27,19 +27,15 @@ class KnnModel(BaseModel):
         object.__setattr__(self, "train_y", np.asarray(self.train_y, dtype=np.int32))
         if self.train_x.ndim != 2 or self.train_x.shape[1] != self.n_features:
             raise ValueError(f"the training matrix must be {self.n_features} features wide")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if not whole_number(self.k, 1):
+            raise ValueError(f"k must be an int >= 1, got {self.k!r}")
         if self.train_x.shape[0] < self.k:
             raise ValueError(f"k={self.k} exceeds the {self.train_x.shape[0]} training rows")
         if self.train_x.shape[0] != self.train_y.shape[0]:
             raise ValueError("training matrix and labels disagree on row count")
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.train_x.shape[1]:
-            raise ValueError(
-                f"expected {self.train_x.shape[1]} features, got {x.shape[1]}"
-            )
+        x = self._rows(x)
         # squared distances computed row-wise to bound memory
         out = np.empty(x.shape[0], dtype=np.int64)
         for r, row in enumerate(x):

@@ -66,10 +66,7 @@ class MlpModel(BaseModel):
         return int(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
 
     def scores_matrix(self, x: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if a.shape[1] != self.weights[0].shape[1]:
-            raise ValueError(f"expected {self.weights[0].shape[1]} features, got {a.shape[1]}")
-        return forward(self.weights, self.biases, a)
+        return forward(self.weights, self.biases, self._rows(x))
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores_matrix(x), axis=1).astype(np.int64)

@@ -63,6 +63,8 @@ class SvmModel(BaseModel):
             raise ValueError(f"support vectors must be {self.n_features} features wide")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         if self.kernel == "rbf" and self.gamma <= 0:
             raise ValueError("rbf gamma must be positive")
         if self.sv_counts.size != c or self.sv_counts.sum() != self.support.shape[0]:
@@ -84,9 +86,7 @@ class SvmModel(BaseModel):
 
     def decision_pairs(self, x: np.ndarray) -> np.ndarray:
         """Pairwise decision values, shape (m, C*(C-1)/2) in pair_order."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.support.shape[1]:
-            raise ValueError(f"expected {self.support.shape[1]} features, got {x.shape[1]}")
+        x = self._rows(x)
         k = kernel_matrix(self.kernel, self.gamma, x, self.support)  # (m, n_sv)
         out = np.empty((x.shape[0], self.intercepts.size))
         for p, (a, b) in enumerate(pair_order(self.n_classes)):

@@ -39,8 +39,12 @@ class CalibrationCoefficients:
     offset_i: float  # amperes
 
     def __post_init__(self):
-        if self.gain_v <= 0 or self.gain_i <= 0:
-            raise ValueError("calibration gains must be positive")
+        for name, value in (("gain_v", self.gain_v), ("gain_i", self.gain_i)):
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"calibration {name} must be a finite number > 0, got {value!r}")
+        for name, value in (("offset_v", self.offset_v), ("offset_i", self.offset_i)):
+            if not np.isfinite(value):
+                raise ValueError(f"calibration {name} must be finite, got {value!r}")
 
 
 def default_calibration(v_span: float = 800.0, i_span: float = 100.0) -> CalibrationCoefficients:
@@ -56,7 +60,8 @@ def default_calibration(v_span: float = 800.0, i_span: float = 100.0) -> Calibra
 
 @dataclass(frozen=True)
 class RawSampleBlock:
-    """Uncalibrated ADC codes for both channels at the acquisition rate.
+    """Uncalibrated ADC codes for both channels at the acquisition rate,
+    ACQUISITION_RATE_HZ.
 
     Each channel is a read-only int16 copy that the block owns, 2 bytes per
     code: a later write to the caller's array cannot reach it, and a write
@@ -64,7 +69,6 @@ class RawSampleBlock:
 
     codes_v: np.ndarray
     codes_i: np.ndarray
-    rate_hz: int = ACQUISITION_RATE_HZ
 
     def __post_init__(self):
         object.__setattr__(self, "codes_v", _adc_codes("voltage", self.codes_v))
@@ -117,7 +121,8 @@ class SampleStream:
 
 @dataclass(frozen=True)
 class SampleWindow:
-    """One 100 ms frame: exactly 1000 calibrated samples per channel at 10 kHz.
+    """One 100 ms frame: exactly 1000 calibrated samples per channel at
+    SAMPLE_RATE_HZ (10 kHz).
 
     `index` is the window ordinal within its stream, counted from 0.
     """
@@ -125,7 +130,6 @@ class SampleWindow:
     v: np.ndarray
     i: np.ndarray
     index: int = 0
-    rate_hz: int = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         object.__setattr__(self, "v", np.asarray(self.v, dtype=np.float64))
@@ -135,8 +139,6 @@ class SampleWindow:
                 f"a window holds exactly {WINDOW_SAMPLES} samples per channel, "
                 f"got {self.v.size}/{self.i.size}"
             )
-        if self.rate_hz != SAMPLE_RATE_HZ:
-            raise ValueError(f"window rate must be {SAMPLE_RATE_HZ} Hz")
 
 
 def calibrate_raw(block: RawSampleBlock, coeffs: CalibrationCoefficients) -> SampleStream:
@@ -148,7 +150,7 @@ def calibrate_raw(block: RawSampleBlock, coeffs: CalibrationCoefficients) -> Sam
     output: no code table, and nothing the size of the stream but the output."""
     v = _calibrated(block.codes_v, coeffs.gain_v, coeffs.offset_v)
     i = _calibrated(block.codes_i, coeffs.gain_i, coeffs.offset_i)
-    return SampleStream(v=v, i=i, rate_hz=block.rate_hz)
+    return SampleStream(v=v, i=i, rate_hz=ACQUISITION_RATE_HZ)
 
 
 _CALIBRATE_BLOCK = 16_384  # codes per slice: 32 KiB in, 128 KiB out

@@ -60,6 +60,7 @@ import traceback
 
 import numpy as np
 
+from ..models.base import whole_number
 from ..models.forest import LEAF, RfModel, TreeNodes
 from .dataset import Dataset, model_inputs
 
@@ -95,20 +96,10 @@ def _rank_codes(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return codes, [xs[rises[:, j], j] for j in range(x.shape[1])]
 
 
-def _best_split(x, y, feature_ids, n_classes):
-    """Best (feature, threshold, weighted child Gini) over the candidates,
-    or None when every candidate column is constant."""
-    return _split_search(x, y, feature_ids, np.bincount(y, minlength=n_classes))
-
-
-def _split_search(x, y, feature_ids, parent_counts):
-    """`_best_split` for a node whose class counts the caller already has."""
-    codes, values = _rank_codes(x)
-    return _coded_split(codes, values, y, feature_ids, parent_counts)
-
-
 def _coded_split(codes, values, y, feature_ids, parent_counts):
-    """`_split_search` on the rank codes of the node's rows.
+    """Best (feature, threshold, weighted child Gini) over the candidate
+    columns of a node's rank codes, or None when every candidate column is
+    constant; parent_counts are the node's class counts.
 
     A cut's Gini needs only the sum of squared class counts on each side.
     On the left that sum grows by 2r + 1 when a row joins that is preceded
@@ -291,11 +282,6 @@ def _portable(exc: BaseException) -> BaseException | None:
     return exc
 
 
-def _whole(value, least: int) -> bool:
-    """value is an int, and not a bool, of at least `least`."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
 def train_rf(
     d: Dataset,
     n_trees: int = 100,
@@ -304,9 +290,9 @@ def train_rf(
     selected_indices: tuple[int, ...] | None = None,
 ) -> RfModel:
     """Fit a forest on (optionally feature-selected) raw, unscaled features."""
-    if not _whole(n_trees, 1):
+    if not whole_number(n_trees, 1):
         raise ValueError(f"n_trees must be an int >= 1, got {n_trees!r}")
-    if max_depth is not None and not _whole(max_depth, 0):
+    if max_depth is not None and not whole_number(max_depth, 0):
         raise ValueError(f"max_depth must be None or an int >= 0, got {max_depth!r}")
     selected_indices, _, x = model_inputs(d, selected_indices, scale=False)
     y = d.y

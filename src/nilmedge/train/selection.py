@@ -352,6 +352,12 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def check_drop_tolerance(drop_tolerance) -> None:
+    """A sweep's accuracy tolerance is a finite number >= 0."""
+    if not 0 <= drop_tolerance < math.inf:  # NaN fails too
+        raise ValueError(f"drop_tolerance must be a finite number >= 0, got {drop_tolerance!r}")
+
+
 def sweep_feature_count(
     train: Dataset,
     test: Dataset,
@@ -372,6 +378,7 @@ def sweep_feature_count(
     point is the smallest count whose accuracy is within drop_tolerance of
     the sweep maximum and whose cost report fits the profile; when no point
     fits, the best-effort point is reported with feasible=False."""
+    check_drop_tolerance(drop_tolerance)
     _check_splits(train, test)
     if len(mda.ranking) != train.n_features:
         raise ValueError("the MDA ranking must cover every feature")

@@ -27,8 +27,7 @@ SV_EPS = 1e-8
 MAX_SWEEPS = 200
 
 
-def smo_binary(k: np.ndarray, y: np.ndarray, c: float,
-               tol: float = KKT_TOL, max_sweeps: int = MAX_SWEEPS):
+def smo_binary(k: np.ndarray, y: np.ndarray, c: float):
     """Solve one binary problem; returns (alpha, b, converged).
 
     k is the precomputed kernel matrix, y the +-1 labels. The decision is
@@ -93,7 +92,7 @@ def smo_binary(k: np.ndarray, y: np.ndarray, c: float,
 
     def examine(i2: int) -> bool:
         r2 = errors[i2] * y[i2]
-        if not ((r2 < -tol and alpha[i2] < c) or (r2 > tol and alpha[i2] > 0)):
+        if not ((r2 < -KKT_TOL and alpha[i2] < c) or (r2 > KKT_TOL and alpha[i2] > 0)):
             return False
         non_bound = np.flatnonzero((alpha > 0) & (alpha < c))
         if non_bound.size > 1:
@@ -110,7 +109,7 @@ def smo_binary(k: np.ndarray, y: np.ndarray, c: float,
 
     examine_all = True
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         changed = 0
         if examine_all:
             targets = range(n)
@@ -139,8 +138,8 @@ def train_svm(
 
     gamma=None uses 1/n_features on the standardized inputs.
     """
-    if c <= 0:
-        raise ValueError("regularization parameter c must be positive")
+    if not 0 < c < np.inf:  # NaN fails too
+        raise ValueError(f"regularization parameter c must be a finite positive number, got {c!r}")
     selected_indices, scaler, x = model_inputs(d, selected_indices)
     y = d.y
     n_classes = len(d.class_names)

@@ -20,6 +20,7 @@ from nilmedge.models.knn import KnnModel
 from nilmedge.models.mlp import MlpModel
 from nilmedge.models.svm import SvmModel, pair_order
 from nilmedge.signals import window_stream
+from nilmedge.train.cart import _coded_split, _rank_codes
 from nilmedge.train.dataset import Dataset
 
 
@@ -238,6 +239,19 @@ def rf_oracle(model: RfModel, x) -> int:
     return min(c for c, v in votes.items() if v == best)
 
 
+def worst_case_depth(tree: TreeNodes) -> int:
+    """Longest root-to-leaf path, counted in comparisons."""
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    worst = 0
+    for node in range(tree.n_nodes):
+        if tree.feature[node] == -1:
+            worst = max(worst, int(depth[node]))
+        else:
+            depth[tree.left[node]] = depth[node] + 1
+            depth[tree.right[node]] = depth[node] + 1
+    return worst
+
+
 def leaf_oracle(tree: TreeNodes, x) -> int:
     """Leaf class one tree gives x, routed one node at a time."""
     node = 0
@@ -248,6 +262,11 @@ def leaf_oracle(tree: TreeNodes, x) -> int:
 
 
 # --- CART split-search oracle ----------------------------------------------------
+
+def best_split(x, y, feature_ids, n_classes):
+    """CART's split search on float rows, ranked first as each train_rf fit ranks its rows."""
+    return _coded_split(*_rank_codes(x), y, feature_ids, np.bincount(y, minlength=n_classes))
+
 
 def best_split_oracle(x, y, feature_ids, n_classes):
     """Per-feature loop: sort one candidate column at a time, keep the first
@@ -302,6 +321,15 @@ def apparent_power_oracle(v, i) -> float:
 
 # stream lengths, in windows, on both sides of the extraction block edges
 BLOCK_EDGE_WINDOWS = [0, 1, EXTRACT_BLOCK - 1, EXTRACT_BLOCK, EXTRACT_BLOCK + 1, 2 * EXTRACT_BLOCK + 1]
+
+
+def dft_direct(x) -> np.ndarray:
+    """O(N^2) discrete Fourier transform straight from the definition."""
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.size
+    k = np.arange(n)
+    basis = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    return basis @ x
 
 
 def fft_oracle(x) -> np.ndarray:

@@ -146,7 +146,8 @@ class TestExtract:
                                                               capsys, monkeypatch):
         stream = load_samples(synth_dir / "samples.bin")
         want = tmp_path / "want.csv"
-        write_features_csv(want, *feature_matrix(window_stream(stream)))
+        matrix = feature_matrix(stream)
+        write_features_csv(want, matrix, range(len(matrix)))
         built = []
         post_init = SampleWindow.__post_init__
 
@@ -286,6 +287,20 @@ class TestMdaAndSweep:
         doc = json.loads(out.read_text())
         assert [p["m"] for p in doc["points"]] == [1, 2, 3, 4]
         assert csv_out.read_text().startswith("m,accuracy")
+
+    @pytest.mark.parametrize("tolerance", ["-0.1", "nan"])
+    def test_sweep_bad_drop_tolerance_fails_before_mda(self, dataset_file, tmp_path, capsys,
+                                                       monkeypatch, tolerance):
+        def no_mda(*args, **kwargs):
+            raise AssertionError("MDA ran")
+
+        monkeypatch.setattr("nilmedge.cli.mda_rank", no_mda)
+        code, _, err = run(capsys, "sweep", "--dataset", str(dataset_file), "--kind", "knn",
+                           "--fast", "--drop-tolerance", tolerance,
+                           "--out", str(tmp_path / "sweep.json"))
+        assert code == 2
+        assert "drop_tolerance must be a finite number >= 0" in err
+        assert not (tmp_path / "sweep.json").exists()
 
 
 class TestClassify:

@@ -5,6 +5,7 @@ from helpers import (
     BLOCK_EDGE_WINDOWS,
     apparent_power_oracle,
     assert_same_bits,
+    dft_direct,
     features_oracle,
     fft_oracle,
     real_power_oracle,
@@ -16,12 +17,9 @@ from nilmedge.features import (
     TIME_ONLY_LAYOUT,
     FeatureLayout,
     FeatureVector,
-    Spectrum,
     apparent_power,
-    dft_direct,
     extract_feature_matrix,
     extract_features,
-    extract_harmonics,
     fft_1024,
     fft_radix2,
     feature_matrix,
@@ -30,7 +28,7 @@ from nilmedge.features import (
     reactive_power,
     write_features_csv,
 )
-from nilmedge.signals import SampleStream, SampleWindow, window_stream
+from nilmedge.signals import SampleStream, SampleWindow
 
 FS = 10000
 
@@ -144,9 +142,14 @@ class TestFft:
             fft_radix2(np.zeros(1000))
 
 
+def harmonics(current, layout=FREQUENCY_ONLY_LAYOUT):
+    """The harmonic columns of one current window, beside a zero voltage row."""
+    return extract_feature_matrix(np.zeros((1, 1000)), current[None], layout)[0]
+
+
 class TestHarmonics:
     def test_zero_spectrum(self):
-        h = extract_harmonics(Spectrum(bins=np.zeros(513, dtype=complex)))
+        h = harmonics(np.zeros(1000))
         assert h.size == 100
         assert np.all(h == 0)
 
@@ -156,7 +159,7 @@ class TestHarmonics:
         # rectangular frame: the oracle magnitude is 1.0158765...*A, not A
         amp = 3.7
         x = tone(5 * FS / 1024, amp)
-        h = extract_harmonics(fft_1024(x))
+        h = harmonics(x)
         got = abs(complex(h[0], h[1]))
         padded = np.concatenate([x, np.zeros(24)])
         oracle = abs(dft_direct(padded)[5]) * 2 / 1000
@@ -165,7 +168,7 @@ class TestHarmonics:
 
     def test_50hz_tone_magnitude_within_leakage_bound(self):
         amp = 2.0
-        h = extract_harmonics(fft_1024(tone(50, amp)))
+        h = harmonics(tone(50, amp))
         mag = abs(complex(h[0], h[1]))
         assert 0.85 * amp <= mag <= amp
         padded = np.concatenate([tone(50, amp), np.zeros(24)])
@@ -180,11 +183,11 @@ class TestHarmonics:
         assert lay.harmonic_bin(99) == 507
 
     def test_magnitude_mode(self):
-        lay = FeatureLayout(complex_pairs=False)
+        lay = FeatureLayout(time_domain=False, complex_pairs=False)
         x = tone(5 * FS / 1024, 1.0)
-        h = extract_harmonics(fft_1024(x), lay)
+        h = harmonics(x, lay)
         assert h.size == 50
-        pairs = extract_harmonics(fft_1024(x), DEFAULT_LAYOUT)
+        pairs = harmonics(x)
         assert np.isclose(h[0], abs(complex(pairs[0], pairs[1])), rtol=1e-12)
 
 
@@ -258,11 +261,10 @@ class TestExtract:
 
 
 def test_feature_csv_export(tmp_path, rng):
-    w0 = SampleWindow(v=rng.normal(size=1000), i=rng.normal(size=1000), index=0)
-    w1 = SampleWindow(v=rng.normal(size=1000), i=rng.normal(size=1000), index=1)
-    matrix, idx = feature_matrix([w0, w1])
+    stream = SampleStream(v=rng.normal(size=2000), i=rng.normal(size=2000))
+    matrix = feature_matrix(stream)
     path = tmp_path / "f.csv"
-    write_features_csv(path, matrix, idx)
+    write_features_csv(path, matrix, range(len(matrix)))
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert header[0] == "window_index" and len(header) == 104
@@ -380,6 +382,6 @@ def test_feature_matrix_over_block_boundaries(rng, n_windows, name):
     layout = BLOCK_LAYOUTS[name]
     samples = 1000 * n_windows + 500  # a trailing partial window is dropped
     stream = SampleStream(v=rng.normal(size=samples), i=rng.normal(size=samples))
-    matrix, idx = feature_matrix(window_stream(stream), layout)
-    assert idx == list(range(n_windows))
+    matrix = feature_matrix(stream, layout)
+    assert len(matrix) == n_windows
     assert_same_bits(matrix, stream_features_oracle(stream, layout))

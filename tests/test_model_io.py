@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,9 +215,10 @@ def first_real_array(doc: dict) -> str:
     "not json", "top-level list", "no meta", "no arrays", "no kind", "unknown kind",
     "meta not an object", "non-hex real", "real not a string", "float in integer array",
     "array missing", "array too short", "nested array",
+    "NaN real", "inf real", "k 1.5", "k true", "gamma NaN",
 ])
 def test_json_malformed_documents_raise_format_errors(case):
-    doc = json_doc("rf")
+    doc = json_doc({"k 1.5": "knn", "k true": "knn", "gamma NaN": "svm"}.get(case, "rf"))
     real = first_real_array(doc)
     edits = {
         "no meta": lambda: doc.pop("meta"),
@@ -230,6 +232,11 @@ def test_json_malformed_documents_raise_format_errors(case):
         "array missing": lambda: doc["arrays"].pop(real),
         "array too short": lambda: doc["arrays"][real].pop(),
         "nested array": lambda: doc["arrays"][real].__setitem__(0, ["0x1.0p+0"]),
+        "NaN real": lambda: doc["arrays"][real].__setitem__(0, float("nan").hex()),
+        "inf real": lambda: doc["arrays"][real].__setitem__(0, float("inf").hex()),
+        "k 1.5": lambda: doc["meta"]["params"].update(k=1.5),
+        "k true": lambda: doc["meta"]["params"].update(k=True),
+        "gamma NaN": lambda: doc["meta"]["params"].update(gamma_hex=float("nan").hex()),
     }
     if case == "not json":
         text = to_json(random_knn(np.random.default_rng(0)))[:-3] + "]]"
@@ -258,3 +265,11 @@ def test_fuzzed_json_raises_only_format_errors():
                 from_json(flipped)
             except ModelFormatError:
                 pass
+
+
+def test_binary_non_finite_real_names_its_array(rng):
+    m = random_knn(rng)
+    x = m.train_x.copy()
+    x[3, 1] = np.nan
+    with pytest.raises(ModelIntegrityError, match="'train_x' holds a non-finite value"):
+        deserialize(serialize(replace(m, train_x=x)))

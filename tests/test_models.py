@@ -12,6 +12,7 @@ from helpers import (
     rf_oracle,
     small_layout,
     svm_oracle,
+    worst_case_depth,
 )
 from nilmedge.features import DEFAULT_LAYOUT
 from nilmedge.models.base import Scaler, ZeroVarianceError
@@ -40,6 +41,13 @@ class TestScaler:
         with pytest.raises(ZeroVarianceError) as err:
             Scaler.fit(x)
         assert "1" in str(err.value)
+
+
+@pytest.mark.parametrize("mean, std", [([np.nan], [1.0]), ([0.0], [np.nan]),
+                                       ([np.inf], [1.0]), ([0.0], [np.inf])])
+def test_scaler_rejects_non_finite_values(mean, std):
+    with pytest.raises(ValueError, match="finite"):
+        Scaler(mean=mean, std=std)
 
 
 def _selecting(indices, layout=DEFAULT_LAYOUT):
@@ -113,6 +121,31 @@ class TestParameterWidth:
         with pytest.raises(ValueError, match="take 1 features"):
             MlpModel(**_base(2, 1), weights=(np.zeros((3, 2)), np.zeros((2, 3))),
                      biases=(np.zeros(3), np.zeros(2)))
+
+
+PREDICTORS = {
+    "knn": lambda rng: random_knn(rng, f=5),
+    "svm": lambda rng: random_svm(rng, f=5),
+    "mlp": lambda rng: random_mlp(rng, (5, 4, 3)),
+    "rf": lambda rng: random_rf(rng, f=5),
+}
+SCORERS = {"svm": "decision_pairs", "mlp": "scores_matrix"}
+
+
+@pytest.mark.parametrize("kind", sorted(PREDICTORS))
+def test_predictors_share_one_input_contract(rng, kind):
+    """Rows one column too narrow or too wide raise the same message for
+    every kind; a 1-D row of the right width is one row."""
+    m = PREDICTORS[kind](rng)
+    x = rng.normal(size=(6, 5))
+    methods = [m.predict_matrix] + ([getattr(m, SCORERS[kind])] if kind in SCORERS else [])
+    for method in methods:
+        for width in (4, 6):
+            with pytest.raises(ValueError, match=f"^expected 5 features, got {width}$"):
+                method(rng.normal(size=(3, width)))
+        one = method(x[2])
+        assert len(one) == 1
+        np.testing.assert_array_equal(one, method(x[2:3]))
 
 
 class TestKnn:
@@ -303,7 +336,7 @@ class TestRf:
                          left=[1, 3, -1, -1, -1],
                          right=[2, 4, -1, -1, -1],
                          leaf_class=[-1, -1, 0, 1, 0])
-        assert tree.worst_case_depth() == 2
+        assert worst_case_depth(tree) == 2
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import leaf_oracle, random_rf, random_tree, rf_oracle
+from helpers import leaf_oracle, random_rf, random_tree, rf_oracle, worst_case_depth
 from nilmedge.features import DEFAULT_LAYOUT
 from nilmedge.models.forest import NodeTable, RfModel, TreeIntegrityError, TreeNodes
 
@@ -14,7 +14,7 @@ N_CLASSES = 3
 def deep_tree(rng, depth=12) -> TreeNodes:
     while True:
         tree = random_tree(rng, N_FEATURES, N_CLASSES, depth=depth)
-        if tree.worst_case_depth() == depth:
+        if worst_case_depth(tree) == depth:
             return tree
 
 
@@ -52,7 +52,7 @@ def queries(mixed_forest):
 
 
 def test_forest_mixes_depths_and_ties(mixed_forest, queries):
-    depths = {t.worst_case_depth() for t in mixed_forest.trees}
+    depths = {worst_case_depth(t) for t in mixed_forest.trees}
     assert 0 in depths and 12 in depths
     assert mixed_forest.table.steps == 12
     votes = np.array([[sum(leaf_oracle(t, q) == c for t in mixed_forest.trees)
@@ -110,7 +110,7 @@ def test_too_few_columns_rejected(mixed_forest):
 def test_table_depths_match_each_trees_worst_case_depth(seed):
     rng = np.random.default_rng(seed)
     forest = random_rf(rng, n_trees=30, f=N_FEATURES, n_classes=N_CLASSES, depth=int(rng.integers(0, 9)))
-    per_tree = [t.worst_case_depth() for t in forest.trees]
+    per_tree = [worst_case_depth(t) for t in forest.trees]
     assert forest.table.depths.tolist() == per_tree
     assert forest.table.steps == max(per_tree)
     assert forest.worst_case_comparisons() == sum(per_tree)

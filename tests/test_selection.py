@@ -16,6 +16,7 @@ from nilmedge.train import (
     split_dataset,
     sweep_feature_count,
 )
+import nilmedge.train.selection as selection
 from nilmedge.train.selection import derive_seed
 
 
@@ -182,6 +183,20 @@ class TestSweep:
         report = sweep_feature_count(tr, te, "knn", mda, CORTEX_M4_PAPER,
                                      grid=grid, feature_counts=[1, 2], folds=2, seed=0)
         assert all(p.params["k"] in (1, 5) for p in report.points)
+
+    @pytest.mark.parametrize("tolerance", [-0.1, np.nan, np.inf])
+    def test_bad_tolerance_rejected_before_any_fit(self, tolerance, monkeypatch):
+        d = one_informative_dataset(0)
+        tr, te = split_dataset(d, 0.8, seed=0)
+        mda = mda_rank("knn", {"k": 3}, tr, te, repetitions=2, seed=0)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a sweep point was fitted")
+
+        monkeypatch.setattr(selection, "train_model", no_fit)
+        with pytest.raises(ValueError, match="drop_tolerance must be a finite number >= 0"):
+            sweep_feature_count(tr, te, "knn", mda, CORTEX_M4_PAPER, fixed_params={"k": 3},
+                                drop_tolerance=tolerance, seed=0)
 
     def test_counts_must_be_increasing(self):
         d = one_informative_dataset(0)

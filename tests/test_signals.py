@@ -143,6 +143,13 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             CalibrationCoefficients(gain_v=0.0, offset_v=0.0, gain_i=1.0, offset_i=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["gain_v", "offset_v", "gain_i", "offset_i"])
+    def test_non_finite_coefficient_rejected_by_name(self, field, value):
+        good = dict(gain_v=0.01, offset_v=0.0, gain_i=0.01, offset_i=0.0)
+        with pytest.raises(ValueError, match=f"calibration {field} must be"):
+            CalibrationCoefficients(**{**good, field: value})
+
 
 class TestDecimate:
     def test_pair_means(self):

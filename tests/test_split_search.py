@@ -5,9 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import best_split_oracle, blob_dataset
+from helpers import best_split, best_split_oracle, blob_dataset
 from nilmedge.models.io import serialize
-from nilmedge.train.cart import _best_split, _split_search, train_rf
+from nilmedge.train.cart import train_rf
 from nilmedge.train.dataset import Dataset
 
 
@@ -23,7 +23,7 @@ def block(seed, n=40, f=9, levels=4, n_classes=3):
 def test_repeated_values_match_oracle(seed):
     rng, x, y = block(seed, n=int(np.random.default_rng(seed).integers(2, 60)))
     candidates = rng.choice(x.shape[1], size=3, replace=False)
-    assert _best_split(x, y, candidates, 3) == best_split_oracle(x, y, candidates, 3)
+    assert best_split(x, y, candidates, 3) == best_split_oracle(x, y, candidates, 3)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -31,7 +31,7 @@ def test_some_constant_candidates_match_oracle(seed):
     rng, x, y = block(seed)
     x[:, [0, 2, 5]] = 1.5
     candidates = np.array([0, 2, 7, 5])
-    got = _best_split(x, y, candidates, 3)
+    got = best_split(x, y, candidates, 3)
     assert got == best_split_oracle(x, y, candidates, 3)
     assert got is not None and got[0] == 7
 
@@ -39,7 +39,7 @@ def test_some_constant_candidates_match_oracle(seed):
 def test_all_constant_candidates_give_none():
     _, x, y = block(3)
     x[:, [1, 4]] = -2.0
-    assert _best_split(x, y, np.array([1, 4]), 3) is None
+    assert best_split(x, y, np.array([1, 4]), 3) is None
     assert best_split_oracle(x, y, np.array([1, 4]), 3) is None
 
 
@@ -48,7 +48,7 @@ def test_equal_gini_across_features_first_candidate_wins(seed):
     _, x, y = block(seed)
     x[:, 6] = 10.0 * x[:, 3]  # same order, different thresholds
     for candidates in (np.array([6, 3]), np.array([3, 6])):
-        got = _best_split(x, y, candidates, 3)
+        got = best_split(x, y, candidates, 3)
         assert got == best_split_oracle(x, y, candidates, 3)
         assert got[0] == candidates[0]
 
@@ -57,7 +57,7 @@ def test_equal_gini_within_a_column_first_cut_wins():
     # cuts after 0 and after 2 both leave one pure side and {0, 1, 1}
     x = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     y = np.array([0, 1, 1, 0])
-    got = _best_split(x, y, np.array([1, 0]), 2)
+    got = best_split(x, y, np.array([1, 0]), 2)
     assert got == best_split_oracle(x, y, np.array([1, 0]), 2)
     assert got[:2] == (0, 0.5)
 
@@ -67,7 +67,7 @@ def test_continuous_block_matches_oracle(rng):
     y = rng.integers(0, 7, size=200)
     for _ in range(20):
         candidates = rng.choice(11, size=4, replace=False)
-        assert _best_split(x, y, candidates, 7) == best_split_oracle(x, y, candidates, 7)
+        assert best_split(x, y, candidates, 7) == best_split_oracle(x, y, candidates, 7)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -80,7 +80,7 @@ def test_narrow_labels_and_passed_counts_match_oracle(seed):
     x[:, 5:] += rng.normal(size=(n, 5))
     y = rng.choice(rng.choice(n_classes, size=max(1, n_classes - 2), replace=False), size=n)
     candidates = rng.choice(10, size=4, replace=False)
-    got = _split_search(x, y.astype(np.uint8), candidates, np.bincount(y, minlength=n_classes))
+    got = best_split(x, y.astype(np.uint8), candidates, n_classes)
     assert got == best_split_oracle(x, y, candidates, n_classes)
 
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import assert_same_bits, label_track_oracle, synth_scenario_oracle
+from helpers import assert_same_bits, dft_direct, label_track_oracle, synth_scenario_oracle
 from nilmedge.features import apparent_power, extract_features, real_power
 from nilmedge.scenarios import SCENARIO_IDS, builtin_scenario
 from nilmedge.signals import SampleWindow, window_stream
@@ -70,7 +70,6 @@ class TestApplianceSynthesis:
                                      harmonic_profile={1: 1.0, 3: 0.5}))
         fv = extract_features(w).values
         got = abs(complex(fv[5], fv[6])) / abs(complex(fv[3], fv[4]))
-        from nilmedge.features import dft_direct
         padded = np.concatenate([w.i, np.zeros(24)])
         spec = dft_direct(padded)
         want = abs(spec[15]) / abs(spec[5])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import blob_dataset
+from helpers import blob_dataset, worst_case_depth
 from nilmedge.models.base import classify_matrix
 from nilmedge.models.io import serialize
 from nilmedge.train import (
@@ -67,7 +67,7 @@ class TestRf:
     def test_depth_limit_respected(self):
         d = blob_dataset(n_classes=3, per_class=40, spread=3.0)
         m = train_rf(d, n_trees=10, max_depth=4, seed=0)
-        assert max(t.worst_case_depth() for t in m.trees) <= 4
+        assert max(worst_case_depth(t) for t in m.trees) <= 4
 
     @pytest.mark.parametrize("params, name", [
         ({"max_depth": -1}, "max_depth"),
@@ -207,3 +207,9 @@ class TestSvm:
             train_svm(d, c=-1.0)
         with pytest.raises(ValueError):
             train_svm(d, c=1.0, gamma=-0.5)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf])
+def test_svm_rejects_a_non_finite_c(c):
+    with pytest.raises(ValueError, match="c must be a finite positive number"):
+        train_svm(blob_dataset(), c=c)
