@@ -28,6 +28,7 @@ from ..models.forest import RfModel
 from ..records import dumps, jsonable, record_fields
 from .dataset import Dataset
 from .metrics import evaluate
+from .sgd import check_mlp_settings
 from .trainers import MODEL_KINDS, train_model
 
 
@@ -60,6 +61,8 @@ class GridSpec:
             raise ValueError("grid values must be positive")
         if any(c <= 0 for c in self.svm_c) or any(g <= 0 for g in self.svm_gamma):
             raise ValueError("grid values must be positive")
+        for hidden, lr in product(self.mlp_hidden, self.mlp_lr):
+            check_mlp_settings(hidden, lr)
 
     def cells(self, kind: str) -> list[dict]:
         if kind == "knn":

@@ -9,8 +9,11 @@ model's own `models.mlp.forward`, which also collects the activations backprop n
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..models.base import whole_number
 from ..models.mlp import MlpModel, forward
 from .dataset import Dataset, model_inputs
 
@@ -23,6 +26,15 @@ class DivergenceError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"non-finite loss at epoch {epoch}")
         self.epoch = epoch
+
+
+def check_mlp_settings(hidden, lr) -> None:
+    """Hidden widths are ints >= 1 and the learning rate a finite number
+    > 0: a zero width or a zero rate returns the initial weights."""
+    if not all(whole_number(width, 1) for width in hidden):
+        raise ValueError(f"hidden widths must be ints >= 1, got {tuple(hidden)!r}")
+    if not 0 < lr < math.inf:  # NaN fails too
+        raise ValueError(f"learning rate lr must be a finite number > 0, got {lr!r}")
 
 
 def init_parameters(layer_sizes, rng):
@@ -78,6 +90,9 @@ def train_mlp(
 ) -> MlpModel:
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if not whole_number(batch, 1):  # below 1, no SGD step runs
+        raise ValueError(f"batch must be an int >= 1, got {batch!r}")
+    check_mlp_settings(hidden, lr)
     selected_indices, scaler, x = model_inputs(d, selected_indices)
     y = d.y
     n_classes = len(d.class_names)

@@ -20,7 +20,7 @@ from nilmedge.models.knn import KnnModel
 from nilmedge.models.mlp import MlpModel
 from nilmedge.models.svm import SvmModel, pair_order
 from nilmedge.signals import window_stream
-from nilmedge.train.cart import _coded_split, _rank_codes
+from nilmedge.train.cart import _rank_codes, _split_nodes
 from nilmedge.train.dataset import Dataset
 
 
@@ -263,9 +263,27 @@ def leaf_oracle(tree: TreeNodes, x) -> int:
 
 # --- CART split-search oracle ----------------------------------------------------
 
+def split_nodes(x, y, nodes, n_classes):
+    """CART's batched split search on float rows, ranked first as each
+    train_rf fit ranks its rows. nodes is a list of (row indices, candidate
+    columns), every node with the same number of candidates; returns per
+    node (feature, threshold, weighted child Gini) or None when every
+    candidate column is constant, and the node's rows that go left."""
+    codes, values = _rank_codes(x)
+    rows = [np.asarray(r) for r, _ in nodes]
+    counts = np.stack([np.bincount(y[r], minlength=n_classes) for r in rows])
+    sizes = np.array([r.size for r in rows])
+    candidates = np.stack([np.asarray(c) for _, c in nodes])
+    score, feature, threshold, go_left = _split_nodes(
+        codes, values, y, np.concatenate(rows), sizes, candidates, counts)
+    splits = [None if s == np.inf else (int(f), float(t), float(s))
+              for s, f, t in zip(score, feature, threshold)]
+    return splits, np.split(go_left, sizes.cumsum()[:-1])
+
+
 def best_split(x, y, feature_ids, n_classes):
-    """CART's split search on float rows, ranked first as each train_rf fit ranks its rows."""
-    return _coded_split(*_rank_codes(x), y, feature_ids, np.bincount(y, minlength=n_classes))
+    """CART's split search over all rows of x as one node."""
+    return split_nodes(x, y, [(np.arange(y.size), feature_ids)], n_classes)[0][0]
 
 
 def best_split_oracle(x, y, feature_ids, n_classes):

@@ -228,6 +228,18 @@ class TestTrainAndCost:
         assert code == 2 and name in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("option, value, name", [("--batch", "-1", "batch"),
+                                                     ("--lr", "0", "lr"),
+                                                     ("--layers", "0", "hidden")])
+    def test_mlp_settings_that_cannot_train_are_data_errors(self, dataset_file, tmp_path,
+                                                           capsys, option, value, name):
+        model_path = tmp_path / "mlp.nlmm"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset_file), "--kind", "mlp",
+                           "--layers", "4", "--epochs", "2", option, value,
+                           "--out", str(model_path))
+        assert code == 2 and name in err
+        assert not model_path.exists()
+
     def test_cost_report_and_strict_budget(self, dataset_file, tmp_path, capsys):
         model_path = tmp_path / "rf.nlmm"
         run(capsys, "train", "--dataset", str(dataset_file), "--kind", "rf",

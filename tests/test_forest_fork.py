@@ -76,14 +76,15 @@ def call_guarded(marker, fn, *args, **kwargs):
 
 
 def failing_grow(monkeypatch, fails_in_child: bool, exc: BaseException):
-    real = cart._grow_tree
+    """Make the per-share grower raise exc in a child or in the caller."""
+    real = cart._grow_share
 
     def grow(*args):
         if (os.getpid() != TEST_PID) == fails_in_child:
             raise exc
         return real(*args)
 
-    monkeypatch.setattr(cart, "_grow_tree", grow)
+    monkeypatch.setattr(cart, "_grow_share", grow)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 24])
@@ -134,7 +135,10 @@ def test_one_cpu_forks_nothing(monkeypatch):
 
 def test_shares_are_contiguous_and_in_index_order(monkeypatch):
     use_cpus(monkeypatch, 3)
-    assert cart._map_forked(lambda k: (k, os.getpid() == TEST_PID), 8) == [
+    def grow(share):
+        return [(k, os.getpid() == TEST_PID) for k in share]
+
+    assert cart._map_forked(grow, 8) == [
         (0, True), (1, True), (2, False), (3, False), (4, False),
         (5, False), (6, False), (7, False)]
     assert_no_children()
@@ -159,14 +163,14 @@ def test_child_failure_raises_in_caller(monkeypatch, deadline, escape_marker, ex
 
 def test_child_that_dies_raises_in_caller(monkeypatch, deadline, escape_marker):
     use_cpus(monkeypatch, 3)
-    real = cart._grow_tree
+    real = cart._grow_share
 
     def grow(*args):
         if os.getpid() != TEST_PID:
             os._exit(9)
         return real(*args)
 
-    monkeypatch.setattr(cart, "_grow_tree", grow)
+    monkeypatch.setattr(cart, "_grow_share", grow)
     with pytest.raises(RuntimeError, match="trees 1-1 ended with wait status"):
         call_guarded(escape_marker, train_rf, test_trainers.golden_data(), n_trees=3, seed=5)
     assert not escape_marker.exists()
@@ -175,7 +179,7 @@ def test_child_that_dies_raises_in_caller(monkeypatch, deadline, escape_marker):
 
 def test_caller_failure_stops_and_reaps_every_child(monkeypatch, deadline, escape_marker):
     use_cpus(monkeypatch, 4)
-    real = cart._grow_tree
+    real = cart._grow_share
 
     def grow(*args):
         if os.getpid() != TEST_PID:
@@ -183,7 +187,7 @@ def test_caller_failure_stops_and_reaps_every_child(monkeypatch, deadline, escap
             return real(*args)
         raise ValueError("caller's share failed")
 
-    monkeypatch.setattr(cart, "_grow_tree", grow)
+    monkeypatch.setattr(cart, "_grow_share", grow)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="caller's share failed"):
         call_guarded(escape_marker, train_rf, test_trainers.golden_data(), n_trees=8, seed=5)

@@ -8,21 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import best_split_oracle, small_layout
-from nilmedge.train.cart import _coded_split, _goes_left, _rank_codes, train_rf
+from helpers import best_split_oracle, small_layout, split_nodes
+from nilmedge.train.cart import _rank_codes, train_rf
 from nilmedge.train.dataset import Dataset
 
 
 def assert_matches_oracle(x, y, candidates, n_classes):
     """Same split as the oracle, to the bit (repr tells -0.0 from 0.0), and
     the coded partition is x[:, f] <= thr row for row."""
-    codes, values = _rank_codes(x)
-    got = _coded_split(codes, values, y, candidates, np.bincount(y, minlength=n_classes))
+    [got], [go_left] = split_nodes(x, y, [(np.arange(y.size), candidates)], n_classes)
     want = best_split_oracle(x, y, candidates, n_classes)
     assert repr(got) == repr(want)
     if got is not None:
         f, thr, _ = got
-        assert np.array_equal(_goes_left(codes, values, f, thr), x[:, f] <= thr)
+        assert np.array_equal(go_left, x[:, f] <= thr)
     return got
 
 
@@ -71,8 +70,8 @@ def test_overflowing_midpoint_splits_at_the_lower_value():
     y = np.array([0, 0, 1, 1])
     f, thr, score = assert_matches_oracle(x, y, np.array([0]), 2)
     assert (f, thr, score) == (0, 1.7e308, 0.0)  # the midpoint is inf
-    codes, values = _rank_codes(x)
-    assert np.array_equal(_goes_left(codes, values, 0, thr), y == 0)
+    [_], [go_left] = split_nodes(x, y, [(np.arange(4), np.array([0]))], 2)
+    assert np.array_equal(go_left, y == 0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -36,6 +36,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(svm_c=(0.0,))
 
+    @pytest.mark.parametrize("axis, values, name", [
+        ("mlp_lr", (0.05, 0.0), "lr"),
+        ("mlp_lr", (float("nan"),), "lr"),
+        ("mlp_hidden", ((800, 100), (0,)), "hidden"),
+    ])
+    def test_mlp_cells_that_cannot_train_rejected_up_front(self, axis, values, name):
+        with pytest.raises(ValueError, match=name):
+            GridSpec(**{axis: values})
+
 
 class TestGridSearch:
     def test_single_cell_grid_returns_it(self):

@@ -158,6 +158,23 @@ class TestMlp:
         assert err.value.epoch >= 0
         assert str(err.value.epoch) in str(err.value)
 
+    @pytest.mark.parametrize("params, name", [
+        ({"batch": -1}, "batch"),
+        ({"batch": 0}, "batch"),
+        ({"batch": 2.0}, "batch"),
+        ({"lr": 0.0}, "lr"),
+        ({"lr": -0.05}, "lr"),
+        ({"lr": float("nan")}, "lr"),
+        ({"lr": float("inf")}, "lr"),
+        ({"hidden": (0,)}, "hidden"),
+        ({"hidden": (8, 0)}, "hidden"),
+        ({"hidden": (-3,)}, "hidden"),
+    ])
+    def test_settings_that_cannot_train_rejected_naming_them(self, params, name):
+        # each used to return the initial weights, or train backwards, silently
+        with pytest.raises(ValueError, match=name):
+            train_mlp(blob_dataset(per_class=20), **{"hidden": (4,), "epochs": 3, **params})
+
     def test_glorot_bounds(self):
         rng = np.random.default_rng(0)
         ws, bs = init_parameters((10, 20, 5), rng)
