@@ -121,35 +121,48 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _split(args):
+    """The dataset file's stratified (train, test) split."""
     d = load_dataset(args.dataset)
-    train_part, test_part = split_dataset(d, args.train_frac, seed=derive_seed(args.seed, 0x5711))
+    return split_dataset(d, args.train_frac, seed=derive_seed(args.seed, 0x5711))
+
+
+def _budget_exit(args, fits: bool) -> int:
+    if args.strict_budget and not fits:
+        print("budget infeasible under --strict-budget", file=sys.stderr)
+        return BUDGET_ERROR
+    return 0
+
+
+def cmd_train(args) -> int:
+    train_part, test_part = _split(args)
     model = train_model(args.kind, train_part, _hyperparams(args, args.kind), seed=args.seed)
-    metrics = evaluate(test_part.y, classify_matrix(model, test_part.x), len(d.class_names))
+    metrics = evaluate(test_part.y, classify_matrix(model, test_part.x), model.n_classes)
     out = args.out or f"model-{args.kind}.nlmm"
     save_model(model, out)
     print(json.dumps({"model": str(out), "seed": args.seed, **metrics.as_dict()}, sort_keys=True))
     return 0
 
 
-def _importance_note(report) -> str:
+def _mda(args, params, train_part, test_part):
+    """The MDA ranking, after a note on how much of it the tie rule set."""
+    report = mda_rank(args.kind, params, train_part, test_part,
+                      repetitions=args.repetitions, seed=args.seed)
     note = f"{report.nonzero} of {len(report.importances)} importances non-zero; "
     if report.nonzero == 0:
-        return note + "the tie rule (lower index first) set the whole ranking"
-    if report.tied:
-        return note + (f"the tie rule (lower index first) ordered {report.tied} "
-                       "features that share an importance")
-    return note + "no two importances tie"
+        print(note + "the tie rule (lower index first) set the whole ranking")
+    elif report.tied:
+        print(note + f"the tie rule (lower index first) ordered {report.tied} "
+              "features that share an importance")
+    else:
+        print(note + "no two importances tie")
+    return report
 
 
 def cmd_mda(args) -> int:
-    d = load_dataset(args.dataset)
-    train_part, test_part = split_dataset(d, args.train_frac, seed=derive_seed(args.seed, 0x5711))
-    report = mda_rank(args.kind, _hyperparams(args, args.kind), train_part, test_part,
-                      repetitions=args.repetitions, seed=args.seed)
+    report = _mda(args, _hyperparams(args, args.kind), *_split(args))
     out = args.out or "mda.json"
     Path(out).write_text(report.to_json())
-    print(_importance_note(report))
     print(f"wrote {out}; baseline accuracy {report.baseline_accuracy:.4f}, "
           f"top features {list(report.ranking[:5])}")
     return 0
@@ -157,13 +170,10 @@ def cmd_mda(args) -> int:
 
 def cmd_sweep(args) -> int:
     check_drop_tolerance(args.drop_tolerance)  # before the MDA fits
-    d = load_dataset(args.dataset)
+    train_part, test_part = _split(args)
     profile = load_profile(args.profile)
-    train_part, test_part = split_dataset(d, args.train_frac, seed=derive_seed(args.seed, 0x5711))
     params = _hyperparams(args, args.kind)
-    report_mda = mda_rank(args.kind, params, train_part, test_part,
-                          repetitions=args.repetitions, seed=args.seed)
-    print(_importance_note(report_mda))
+    report_mda = _mda(args, params, train_part, test_part)
     counts = [int(s) for s in args.counts.split(",")] if args.counts else None
     report = sweep_feature_count(
         train_part, test_part, args.kind, report_mda, profile,
@@ -179,10 +189,7 @@ def cmd_sweep(args) -> int:
     Path(csv_out).write_text(report.to_csv())
     print(f"wrote {out} and {csv_out}; chosen m={report.chosen_m} "
           f"accuracy={report.chosen.accuracy:.4f} feasible={report.feasible}")
-    if args.strict_budget and not report.feasible:
-        print("budget infeasible under --strict-budget", file=sys.stderr)
-        return BUDGET_ERROR
-    return 0
+    return _budget_exit(args, report.feasible)
 
 
 def cmd_classify(args) -> int:
@@ -204,10 +211,7 @@ def cmd_cost(args) -> int:
     if args.out:
         Path(args.out).write_text(report.to_json())
         print(f"wrote {args.out}")
-    if args.strict_budget and not report.verdict.fits:
-        print("budget infeasible under --strict-budget", file=sys.stderr)
-        return BUDGET_ERROR
-    return 0
+    return _budget_exit(args, report.verdict.fits)
 
 
 def build_parser() -> _Parser:
@@ -232,25 +236,19 @@ def build_parser() -> _Parser:
     p.add_argument("--layout", choices=tuple(LAYOUTS), default="default")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train one model on a dataset file")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
-    _add_model_args(p)
-    p.set_defaults(func=cmd_train)
+    def dataset_command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        common(p)
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--train-frac", type=float, default=0.8)
+        _add_model_args(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mda", help="rank features by mean decrease accuracy")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
+    dataset_command("train", cmd_train, "train one model on a dataset file")
+    p = dataset_command("mda", cmd_mda, "rank features by mean decrease accuracy")
     p.add_argument("--repetitions", type=int, default=10)
-    _add_model_args(p)
-    p.set_defaults(func=cmd_mda)
-
-    p = sub.add_parser("sweep", help="feature-count sweep along the MDA ranking")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p = dataset_command("sweep", cmd_sweep, "feature-count sweep along the MDA ranking")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--profile", default=CORTEX_M4_PAPER.name)
     p.add_argument("--fast", action="store_true", help="fixed hyperparameters, no per-point grid")
@@ -258,8 +256,6 @@ def build_parser() -> _Parser:
     p.add_argument("--drop-tolerance", type=float, default=0.05)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--strict-budget", action="store_true")
-    _add_model_args(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("classify", help="run the online pipeline over a sample stream")
     common(p, formats=FORMATS + ("auto",), fmt_default="auto")

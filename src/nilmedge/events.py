@@ -31,11 +31,11 @@ GUARD_RADIUS = 20  # another event within +-20 windows invalidates both
 class SwitchEvent:
     window_index: int
     delta_p_w: float
-    direction: str  # "on" for a positive power step, "off" for negative
 
-    def __post_init__(self):
-        if self.direction not in ("on", "off"):
-            raise ValueError(f"direction must be 'on' or 'off', got {self.direction!r}")
+    @property
+    def direction(self) -> str:
+        """"on" for a positive power step, "off" for a negative one."""
+        return "on" if self.delta_p_w > 0 else "off"
 
 
 def check_threshold(threshold_w: float) -> None:
@@ -63,11 +63,7 @@ def detect_event(
     delta = p_curr - p_prev
     if abs(delta) <= threshold_w:
         return None
-    return SwitchEvent(
-        window_index=window_index,
-        delta_p_w=float(delta),
-        direction="on" if delta > 0 else "off",
-    )
+    return SwitchEvent(window_index=window_index, delta_p_w=float(delta))
 
 
 def delta_feature(features: np.ndarray, j: int) -> np.ndarray:

@@ -23,6 +23,15 @@ def whole_number(value, least: int) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
+def check_class_names(names) -> tuple[str, ...]:
+    """names as a tuple, if they are distinct strings: a class id's name is
+    what a prediction is reported as."""
+    names = tuple(names)
+    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+        raise ValueError(f"class names must be distinct strings, got {list(names)!r}")
+    return names
+
+
 class ZeroVarianceError(ValueError):
     """A feature column is constant; distance/margin models cannot scale it."""
 
@@ -69,6 +78,7 @@ class BaseModel:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "class_names", check_class_names(self.class_names))
         try:
             indices = tuple(operator.index(i) for i in self.selected_indices)
         except TypeError:

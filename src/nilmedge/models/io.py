@@ -8,6 +8,10 @@ reproduces predictions bit for bit.
 
 A JSON text twin of the same content exists for inspection; reals are
 hex-encoded (float.hex) there to stay lossless.
+
+Each kind's layout is written down once: `_parts` gives its header scalars
+and its arrays by name, both writers take them from `_header`, and
+`_rebuild` reads the arrays back under the same names.
 """
 
 from __future__ import annotations
@@ -58,76 +62,69 @@ def model_kind(model: BaseModel) -> str:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-def _array_manifest(model: BaseModel) -> list[tuple[str, np.ndarray]]:
+# a tree's arrays, as (file name suffix, TreeNodes field), in file order
+TREE_ARRAYS = (("feature", "feature"), ("threshold", "threshold"), ("left", "left"),
+               ("right", "right"), ("leaf", "leaf_class"))
+
+
+def _parts(model: BaseModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """The kind's header scalars and its named arrays in file order: the
+    arrays `_rebuild` reads back, under the same names."""
     arrays: list[tuple[str, np.ndarray]] = []
     if model.scaler is not None:
-        arrays.append(("scaler_mean", model.scaler.mean))
-        arrays.append(("scaler_std", model.scaler.std))
+        arrays += [("scaler_mean", model.scaler.mean), ("scaler_std", model.scaler.std)]
     kind = model_kind(model)
     if kind == "knn":
-        arrays += [("train_x", model.train_x), ("train_y", model.train_y)]
-    elif kind == "svm":
-        arrays += [
-            ("support", model.support),
-            ("dual_coef", model.dual_coef),
-            ("intercepts", model.intercepts),
-        ]
-    elif kind == "mlp":
-        for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
-            arrays += [(f"w{idx}", w), (f"b{idx}", b)]
-    else:  # rf
-        for t, tree in enumerate(model.trees):
-            arrays += [
-                (f"tree{t}_feature", tree.feature),
-                (f"tree{t}_threshold", tree.threshold),
-                (f"tree{t}_left", tree.left),
-                (f"tree{t}_right", tree.right),
-                (f"tree{t}_leaf", tree.leaf_class),
-            ]
-    return arrays
-
-
-def _params(model: BaseModel) -> dict:
-    kind = model_kind(model)
-    if kind == "knn":
-        return {"k": int(model.k)}
+        return {"k": int(model.k)}, arrays + [("train_x", model.train_x), ("train_y", model.train_y)]
     if kind == "svm":
-        return {
+        params = {
             "kernel": model.kernel,
             "gamma_hex": float(model.gamma).hex(),
             "sv_counts": [int(c) for c in model.sv_counts],
         }
+        return params, arrays + [
+            ("support", model.support),
+            ("dual_coef", model.dual_coef),
+            ("intercepts", model.intercepts),
+        ]
     if kind == "mlp":
-        return {"n_layers": len(model.weights)}
-    return {"n_trees": model.n_trees}
+        for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
+            arrays += [(f"w{idx}", w), (f"b{idx}", b)]
+        return {"n_layers": len(model.weights)}, arrays
+    for t, tree in enumerate(model.trees):
+        arrays += [(f"tree{t}_{suffix}", getattr(tree, field)) for suffix, field in TREE_ARRAYS]
+    return {"n_trees": model.n_trees}, arrays
 
 
-def _meta(model: BaseModel) -> dict:
-    arrays = _array_manifest(model)
-    return {
+def _header(model: BaseModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """The file header and the arrays whose manifest it lists."""
+    params, arrays = _parts(model)
+    meta = {
         "class_names": list(model.class_names),
         "layout": model.layout.to_dict(),
         "selected_indices": [int(i) for i in model.selected_indices],
         "has_scaler": model.scaler is not None,
         "metadata": model.metadata,
-        "params": _params(model),
+        "params": params,
         "arrays": [
             {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
             for name, arr in arrays
         ],
     }
+    return meta, arrays
 
 
 def serialize(model: BaseModel) -> bytes:
     """Encode a model to its binary file form."""
-    meta_blob = json.dumps(_meta(model), sort_keys=True).encode("utf-8")
+    meta, arrays = _header(model)
+    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     chunks = [
         MAGIC,
         struct.pack("<HB", FORMAT_VERSION, KIND_CODES[model_kind(model)]),
         struct.pack("<I", len(meta_blob)),
         meta_blob,
     ]
-    for _, arr in _array_manifest(model):
+    for _, arr in arrays:
         raw = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)
@@ -200,18 +197,11 @@ def _rebuild(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> BaseModel:
                 weights=tuple(arrays[f"w{i}"] for i in range(n_layers)),
                 biases=tuple(arrays[f"b{i}"] for i in range(n_layers)),
             )
-        trees = []
-        for t in range(params["n_trees"]):
-            trees.append(
-                TreeNodes(
-                    feature=arrays[f"tree{t}_feature"],
-                    threshold=arrays[f"tree{t}_threshold"],
-                    left=arrays[f"tree{t}_left"],
-                    right=arrays[f"tree{t}_right"],
-                    leaf_class=arrays[f"tree{t}_leaf"],
-                )
-            )
-        return RfModel(**common, trees=tuple(trees))
+        trees = tuple(
+            TreeNodes(**{field: arrays[f"tree{t}_{suffix}"] for suffix, field in TREE_ARRAYS})
+            for t in range(params["n_trees"])
+        )
+        return RfModel(**common, trees=trees)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelIntegrityError(str(exc)) from None
 
@@ -258,9 +248,9 @@ def load_model(path: str | Path) -> BaseModel:
 
 def to_json(model: BaseModel) -> str:
     doc = {"format": "nilmedge-model-json", "version": FORMAT_VERSION, "kind": model_kind(model)}
-    doc["meta"] = _meta(model)
+    doc["meta"], arrays = _header(model)
     payload = {}
-    for name, arr in _array_manifest(model):
+    for name, arr in arrays:
         if arr.dtype.kind == "f":
             payload[name] = [float(v).hex() for v in arr.ravel()]
         else:

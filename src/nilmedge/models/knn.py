@@ -24,15 +24,19 @@ class KnnModel(BaseModel):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "train_x", np.asarray(self.train_x, dtype=np.float64))
-        object.__setattr__(self, "train_y", np.asarray(self.train_y, dtype=np.int32))
+        labels = np.asarray(self.train_y)
         if self.train_x.ndim != 2 or self.train_x.shape[1] != self.n_features:
             raise ValueError(f"the training matrix must be {self.n_features} features wide")
         if not whole_number(self.k, 1):
             raise ValueError(f"k must be an int >= 1, got {self.k!r}")
         if self.train_x.shape[0] < self.k:
             raise ValueError(f"k={self.k} exceeds the {self.train_x.shape[0]} training rows")
-        if self.train_x.shape[0] != self.train_y.shape[0]:
+        if self.train_x.shape[0] != labels.shape[0]:
             raise ValueError("training matrix and labels disagree on row count")
+        if labels.dtype.kind not in "iuf" or not np.all(
+                (labels >= 0) & (labels < self.n_classes) & (labels == np.round(labels))):
+            raise ValueError(f"train_y must hold whole-number class ids in [0, {self.n_classes})")
+        object.__setattr__(self, "train_y", labels.astype(np.int32))
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         x = self._rows(x)

@@ -110,11 +110,6 @@ class SvmModel(BaseModel):
             votes[~wins_a, b] += 1
             scores[:, a] += d
             scores[:, b] -= d
-        out = np.empty(m, dtype=np.int64)
-        for r in range(m):
-            best = np.flatnonzero(votes[r] == votes[r].max())
-            if best.size > 1:
-                tied_scores = scores[r, best]
-                best = best[np.flatnonzero(tied_scores == tied_scores.max())]
-            out[r] = int(best[0])
-        return out
+        # most votes, then the highest summed decision, then the lowest id:
+        # lexsort's last key leads and equal keys keep class-id order
+        return np.lexsort((-scores, -votes))[:, 0]

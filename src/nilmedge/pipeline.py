@@ -121,7 +121,6 @@ def window_dataset(
     track: LabelTrack,
     layout: FeatureLayout = DEFAULT_LAYOUT,
     class_names: tuple[str, ...] | None = None,
-    provenance: str = "synthetic-windows",
 ) -> Dataset:
     """Steady-state single-appliance dataset: one row per window in which
     exactly one appliance is on and no switch occurs."""
@@ -137,7 +136,7 @@ def window_dataset(
             k = np.subtract(steady, first)
             rows.append(extract_feature_matrix(v[k], i[k], layout))
             labels += [index_of[app] for j in steady for app in track.active[j]]
-    return _dataset(rows, labels, class_names, layout, provenance,
+    return _dataset(rows, labels, class_names, layout, "synthetic-windows",
                     "steady single-appliance windows")
 
 
@@ -147,7 +146,6 @@ def delta_dataset(
     layout: FeatureLayout = DEFAULT_LAYOUT,
     class_names: tuple[str, ...] | None = None,
     threshold_w: float = DEFAULT_THRESHOLD_W,
-    provenance: str = "synthetic-delta",
 ) -> Dataset:
     """Differential-vector dataset: one row per valid detected event whose
     window matches a scripted toggle (within one window of slack)."""
@@ -163,7 +161,7 @@ def delta_dataset(
         if label is not None:
             rows.append(delta)
             labels.append(index_of[label])
-    return _dataset(rows, labels, class_names, layout, provenance, "valid labeled events")
+    return _dataset(rows, labels, class_names, layout, "synthetic-delta", "valid labeled events")
 
 
 def _dataset(rows, labels, class_names, layout, provenance, what: str) -> Dataset:
@@ -188,13 +186,16 @@ def _matching_toggle(track: LabelTrack, window_index: int) -> str | None:
 # --- online classification -----------------------------------------------------
 
 @dataclass(frozen=True)
-class StreamLabel:
-    window_index: int
-    delta_p_w: float
-    direction: str
-    valid: bool
+class StreamLabel(SwitchEvent):
+    """An event as the online classifier reports it."""
+
     status: str  # "labeled" | "invalid" | "pending"
     label: str | None
+
+    @property
+    def valid(self) -> bool:
+        """False only for an event the guard rejected."""
+        return self.status != "invalid"
 
 
 def classify_stream(
@@ -214,8 +215,7 @@ def classify_stream(
             status, label = "pending", None
         else:
             status, label = "labeled", model.class_names[classify_matrix(model, x[None, :])[0]]
-        out.append(StreamLabel(ev.window_index, ev.delta_p_w, ev.direction,
-                               valid=valid, status=status, label=label))
+        out.append(StreamLabel(ev.window_index, ev.delta_p_w, status=status, label=label))
     return out
 
 

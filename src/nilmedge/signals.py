@@ -47,14 +47,14 @@ class CalibrationCoefficients:
                 raise ValueError(f"calibration {name} must be finite, got {value!r}")
 
 
-def default_calibration(v_span: float = 800.0, i_span: float = 100.0) -> CalibrationCoefficients:
+def default_calibration() -> CalibrationCoefficients:
     """Bipolar mapping over a unipolar 14-bit converter: mid-scale code 8192
-    reads as 0 V / 0 A, full scale spans +-v_span/2 and +-i_span/2."""
+    reads as 0 V / 0 A, full scale spans +-400 V and +-50 A."""
     return CalibrationCoefficients(
-        gain_v=v_span / 16384.0,
-        offset_v=-v_span / 2.0,
-        gain_i=i_span / 16384.0,
-        offset_i=-i_span / 2.0,
+        gain_v=800.0 / 16384.0,
+        offset_v=-400.0,
+        gain_i=100.0 / 16384.0,
+        offset_i=-50.0,
     )
 
 

@@ -403,7 +403,7 @@ def train_rf(
         raise ValueError(f"n_trees must be an int >= 1, got {n_trees!r}")
     if max_depth is not None and not whole_number(max_depth, 0):
         raise ValueError(f"max_depth must be None or an int >= 0, got {max_depth!r}")
-    selected_indices, _, x = model_inputs(d, selected_indices, scale=False)
+    fields, x = model_inputs(d, selected_indices, scale=False)  # trees are scale-free
     n_classes = len(d.class_names)
     n_candidates = max(1, int(np.ceil(np.sqrt(x.shape[1]))))
     codes, values = _rank_codes(x)
@@ -412,10 +412,4 @@ def train_rf(
     def grow(share: range) -> list:
         return _grow_share(codes, values, y, n_classes, max_depth, n_candidates, seed, share)
 
-    return RfModel(
-        class_names=d.class_names,
-        layout=d.layout,
-        selected_indices=selected_indices,
-        scaler=None,  # trees are scale-free
-        trees=tuple(_map_forked(grow, n_trees)),
-    )
+    return RfModel(**fields, trees=tuple(_map_forked(grow, n_trees)))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..features import DEFAULT_LAYOUT, FeatureLayout
-from ..models.base import Scaler
+from ..models.base import Scaler, check_class_names
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "class_names", check_class_names(self.class_names))
         if self.x.ndim != 2 or self.x.shape[0] == 0:
             raise ValueError("dataset matrix must be a non-empty (n, f) array")
         if self.y.shape != (self.x.shape[0],):
@@ -64,15 +64,16 @@ class Dataset:
 
 
 def model_inputs(d: Dataset, selected_indices=None, scale: bool = True):
-    """What a model trains on: (indices, scaler or None, x), where x holds the
-    selected columns of d (all of them by default), standardized by a scaler
-    fitted on them unless scale is False."""
+    """What a model trains on: (fields, x). fields are the keyword arguments
+    every model takes from d (class table, layout, selected indices, scaler or
+    None); x holds the selected columns of d (all of them by default),
+    standardized by a scaler fitted on them unless scale is False."""
     indices = tuple(range(d.n_features) if selected_indices is None else selected_indices)
     x = d.x[:, np.array(indices, dtype=np.intp)]
-    if not scale:
-        return indices, None, x
-    scaler = Scaler.fit(x)
-    return indices, scaler, scaler.transform(x)
+    scaler = Scaler.fit(x) if scale else None
+    fields = dict(class_names=d.class_names, layout=d.layout,
+                  selected_indices=indices, scaler=scaler)
+    return fields, x if scaler is None else scaler.transform(x)
 
 
 def split_dataset(d: Dataset, train_frac: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -23,8 +24,9 @@ from itertools import product
 import numpy as np
 
 from ..cost import CostProfile, CostReport, cost_report
-from ..models.base import classify_matrix
+from ..models.base import classify_matrix, whole_number
 from ..models.forest import RfModel
+from ..models.svm import KERNELS
 from ..records import dumps, jsonable, record_fields
 from .dataset import Dataset
 from .metrics import evaluate
@@ -39,6 +41,21 @@ def derive_seed(*parts: int) -> int:
 
 
 # --- grid search -------------------------------------------------------------
+
+def _finite_positive(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+
+
+# the values a grid axis may hold: those its trainer accepts on any data
+_AXIS_VALUES = {
+    "knn_k": (lambda v: whole_number(v, 1), "an int >= 1"),
+    "svm_c": (_finite_positive, "a finite number > 0"),
+    "svm_gamma": (_finite_positive, "a finite number > 0"),
+    "svm_kernel": (lambda v: v in KERNELS, f"one of {KERNELS}"),
+    "rf_trees": (lambda v: whole_number(v, 1), "an int >= 1"),
+    "rf_depth": (lambda v: v is None or whole_number(v, 0), "None or an int >= 0"),
+}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -57,12 +74,12 @@ class GridSpec:
                      "mlp_hidden", "mlp_lr", "rf_trees", "rf_depth"):
             if not getattr(self, name):
                 raise ValueError(f"grid axis {name} must be non-empty")
-        if any(k < 1 for k in self.knn_k) or any(t < 1 for t in self.rf_trees):
-            raise ValueError("grid values must be positive")
-        if any(c <= 0 for c in self.svm_c) or any(g <= 0 for g in self.svm_gamma):
-            raise ValueError("grid values must be positive")
+        for name, (ok, what) in _AXIS_VALUES.items():
+            bad = [v for v in getattr(self, name) if not ok(v)]
+            if bad:
+                raise ValueError(f"grid axis {name} values must each be {what}, got {bad[0]!r}")
         for hidden, lr in product(self.mlp_hidden, self.mlp_lr):
-            check_mlp_settings(hidden, lr)
+            check_mlp_settings(hidden, lr, self.mlp_epochs)
 
     def cells(self, kind: str) -> list[dict]:
         if kind == "knn":
@@ -127,8 +144,8 @@ def grid_search(
     """Stratified k-fold accuracy per grid cell; argmax with deterministic
     tie-breaks (fewest parameters, then first in axis order). Cells whose
     training raises are marked failed and excluded."""
-    if folds < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
+    if not whole_number(folds, 2):
+        raise ValueError(f"cross-validation needs an int of at least 2 folds, got {folds!r}")
     cells = grid.cells(kind)
     fold_rows = _stratified_folds(d.y, folds, derive_seed(seed, 0xF01D))
     n_classes = len(d.class_names)
@@ -275,8 +292,8 @@ def mda_rank(
     `RfModel.column_predictor`. The votes are integer counts, so its
     predictions are those of `classify_matrix` on the shuffled rows, which
     the other kinds call."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    if not whole_number(repetitions, 1):
+        raise ValueError(f"repetitions must be an int >= 1, got {repetitions!r}")
     _check_splits(train, test)
     model = train_model(kind, train, params, seed=derive_seed(seed, 0xBA5E))
     baseline = float(np.mean(classify_matrix(model, test.x) == test.y))

@@ -28,9 +28,12 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-def check_mlp_settings(hidden, lr) -> None:
-    """Hidden widths are ints >= 1 and the learning rate a finite number
-    > 0: a zero width or a zero rate returns the initial weights."""
+def check_mlp_settings(hidden, lr, epochs) -> None:
+    """Hidden widths and epochs are ints >= 1 and the learning rate a finite
+    number > 0: a zero width, rate or epoch count returns the initial
+    weights, and a fractional epoch count does not say how many to run."""
+    if not whole_number(epochs, 1):
+        raise ValueError(f"epochs must be an int >= 1, got {epochs!r}")
     if not all(whole_number(width, 1) for width in hidden):
         raise ValueError(f"hidden widths must be ints >= 1, got {tuple(hidden)!r}")
     if not 0 < lr < math.inf:  # NaN fails too
@@ -88,12 +91,10 @@ def train_mlp(
     seed: int = 0,
     selected_indices: tuple[int, ...] | None = None,
 ) -> MlpModel:
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if not whole_number(batch, 1):  # below 1, no SGD step runs
         raise ValueError(f"batch must be an int >= 1, got {batch!r}")
-    check_mlp_settings(hidden, lr)
-    selected_indices, scaler, x = model_inputs(d, selected_indices)
+    check_mlp_settings(hidden, lr, epochs)
+    fields, x = model_inputs(d, selected_indices)
     y = d.y
     n_classes = len(d.class_names)
 
@@ -130,10 +131,7 @@ def train_mlp(
 
     snap_w, snap_b, best_epoch = best
     return MlpModel(
-        class_names=d.class_names,
-        layout=d.layout,
-        selected_indices=selected_indices,
-        scaler=scaler,
+        **fields,
         metadata={"best_epoch": best_epoch, "holdout_accuracy": best_acc},
         weights=tuple(snap_w),
         biases=tuple(snap_b),

@@ -9,9 +9,11 @@ pure function of the data order). KKT violations are tested at tolerance
 as capped rather than raising.
 
 The per-pair solutions are merged into the shared support-vector layout of
-`SvmModel`: a point enters the SV set if any of its pair machines keeps a
-non-zero multiplier, and its signed alpha lands in the dual-coefficient row
-of the opposing class.
+`SvmModel` through one (classes, rows) array: a pair machine writes each
+multiplier it keeps, signed by the row's side, at (opposing class, row). The
+rows with any entry are the support vectors, grouped by class with a stable
+sort, and dropping each one's own-class entry leaves its dual-coefficient
+column.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def train_svm(
     """
     if not 0 < c < np.inf:  # NaN fails too
         raise ValueError(f"regularization parameter c must be a finite positive number, got {c!r}")
-    selected_indices, scaler, x = model_inputs(d, selected_indices)
+    fields, x = model_inputs(d, selected_indices)
     y = d.y
     n_classes = len(d.class_names)
     if gamma is None:
@@ -148,59 +150,44 @@ def train_svm(
     if kernel == "rbf" and gamma <= 0:
         raise ValueError("rbf gamma must be positive")
 
-    class_rows = [np.flatnonzero(y == cls) for cls in range(n_classes)]
+    if n_classes < 2:
+        raise ValueError("an SVM needs at least two classes")
     pairs = pair_order(n_classes)
-    # alpha_by_pair[p] maps original row -> multiplier for that pair machine
-    pair_alphas: list[dict[int, float]] = []
+    # coef[o, r]: row r's signed multiplier in its machine against class o
+    coef = np.zeros((n_classes, y.size))
     intercepts = np.zeros(len(pairs))
     capped_pairs: list[str] = []
 
     for p, (a_cls, b_cls) in enumerate(pairs):
-        rows = np.concatenate([class_rows[a_cls], class_rows[b_cls]])
-        rows.sort()  # keep the dataset's own order deterministic
-        labels = np.where(y[rows] == a_cls, 1.0, -1.0)
+        rows = np.flatnonzero((y == a_cls) | (y == b_cls))  # the dataset's own order
+        in_a = y[rows] == a_cls
+        labels = np.where(in_a, 1.0, -1.0)
         k = kernel_matrix(kernel, gamma, x[rows], x[rows])
         alpha, b, converged = smo_binary(k, labels, c)
         if not converged:
             capped_pairs.append(f"{a_cls}-{b_cls}")
         intercepts[p] = b
-        pair_alphas.append(
-            {int(r): float(al) for r, al in zip(rows, alpha) if al > SV_EPS}
-        )
+        kept = alpha > SV_EPS
+        coef[np.where(in_a, b_cls, a_cls)[kept], rows[kept]] = (labels * alpha)[kept]
 
-    # union of SVs, grouped by class in class-id order
-    sv_rows: list[int] = []
-    sv_counts = np.zeros(n_classes, dtype=np.int64)
-    for cls in range(n_classes):
-        members = [int(r) for r in class_rows[cls]
-                   if any(r in pa for pa in pair_alphas)]
-        sv_rows.extend(members)
-        sv_counts[cls] = len(members)
-    col_of = {r: j for j, r in enumerate(sv_rows)}
-
-    dual = np.zeros((max(n_classes - 1, 1), len(sv_rows)))
-    for p, (a_cls, b_cls) in enumerate(pairs):
-        for r, al in pair_alphas[p].items():
-            cls = int(y[r])
-            signed = al if cls == a_cls else -al
-            other = b_cls if cls == a_cls else a_cls
-            row = other if other < cls else other - 1
-            dual[row, col_of[r]] = signed
+    # the rows any machine keeps, grouped by class in class-id order
+    sv_rows = np.flatnonzero(coef.any(axis=0))
+    sv_rows = sv_rows[np.argsort(y[sv_rows], kind="stable")]
+    # each SV's own-class row of coef is empty; dropping it leaves its C-1 dual rows
+    others = np.arange(n_classes) != y[sv_rows][:, None]
+    dual = coef[:, sv_rows].T[others].reshape(sv_rows.size, n_classes - 1).T
 
     metadata = {"c": c, "gamma": gamma}
     if capped_pairs:
         metadata["capped_pairs"] = capped_pairs
 
     return SvmModel(
-        class_names=d.class_names,
-        layout=d.layout,
-        selected_indices=selected_indices,
-        scaler=scaler,
+        **fields,
         metadata=metadata,
         kernel=kernel,
         gamma=float(gamma),
-        support=x[np.array(sv_rows, dtype=np.intp)],
-        sv_counts=sv_counts,
+        support=x[sv_rows],
+        sv_counts=np.bincount(y[sv_rows], minlength=n_classes),
         dual_coef=dual,
         intercepts=intercepts,
     )

@@ -21,16 +21,8 @@ MODEL_KINDS = ("knn", "svm", "mlp", "rf")
 def train_knn(d: Dataset, k: int = 1,
               selected_indices: tuple[int, ...] | None = None) -> KnnModel:
     """kNN 'training': fit the scaler and store the scaled rows verbatim."""
-    selected_indices, scaler, x = model_inputs(d, selected_indices)
-    return KnnModel(
-        class_names=d.class_names,
-        layout=d.layout,
-        selected_indices=selected_indices,
-        scaler=scaler,
-        k=k,
-        train_x=x,
-        train_y=d.y,
-    )
+    fields, x = model_inputs(d, selected_indices)
+    return KnnModel(**fields, k=k, train_x=x, train_y=d.y)
 
 
 def train_model(kind: str, d: Dataset, params: dict, seed: int = 0,

@@ -18,10 +18,11 @@ from nilmedge.models.base import classify_matrix
 from nilmedge.models.forest import RfModel, TreeNodes
 from nilmedge.models.knn import KnnModel
 from nilmedge.models.mlp import MlpModel
-from nilmedge.models.svm import SvmModel, pair_order
+from nilmedge.models.svm import SvmModel, kernel_matrix, pair_order
 from nilmedge.signals import window_stream
 from nilmedge.train.cart import _rank_codes, _split_nodes
-from nilmedge.train.dataset import Dataset
+from nilmedge.train.dataset import Dataset, model_inputs
+from nilmedge.train.smo import SV_EPS, smo_binary
 
 
 def small_layout(n_features: int) -> FeatureLayout:
@@ -200,6 +201,40 @@ def svm_oracle(model: SvmModel, x) -> int:
         best_score = max(scores[c] for c in tied)
         tied = [c for c in tied if scores[c] == best_score]
     return min(tied)
+
+
+def svm_dict_merge(d: Dataset, c: float, gamma: float, kernel: str) -> SvmModel:
+    """train_svm with each pair machine's kept multipliers held as a
+    {row: alpha} dict and merged into the shared-SV layout row by row."""
+    fields, x = model_inputs(d)
+    y, n_classes = d.y, len(d.class_names)
+    class_rows = [np.flatnonzero(y == cls) for cls in range(n_classes)]
+    pairs = pair_order(n_classes)
+    pair_alphas: list[dict[int, float]] = []
+    intercepts = np.zeros(len(pairs))
+    for p, (a_cls, b_cls) in enumerate(pairs):
+        rows = np.sort(np.concatenate([class_rows[a_cls], class_rows[b_cls]]))
+        labels = np.where(y[rows] == a_cls, 1.0, -1.0)
+        alpha, intercepts[p], _ = smo_binary(kernel_matrix(kernel, gamma, x[rows], x[rows]),
+                                             labels, c)
+        pair_alphas.append({int(r): float(al) for r, al in zip(rows, alpha) if al > SV_EPS})
+    sv_rows: list[int] = []
+    sv_counts = np.zeros(n_classes, dtype=np.int64)
+    for cls in range(n_classes):
+        members = [int(r) for r in class_rows[cls] if any(r in pa for pa in pair_alphas)]
+        sv_rows.extend(members)
+        sv_counts[cls] = len(members)
+    col_of = {r: j for j, r in enumerate(sv_rows)}
+    dual = np.zeros((n_classes - 1, len(sv_rows)))
+    for p, (a_cls, b_cls) in enumerate(pairs):
+        for r, al in pair_alphas[p].items():
+            cls = int(y[r])
+            signed = al if cls == a_cls else -al
+            other = b_cls if cls == a_cls else a_cls
+            dual[other if other < cls else other - 1, col_of[r]] = signed
+    return SvmModel(**fields, metadata={"c": c, "gamma": gamma}, kernel=kernel,
+                    gamma=float(gamma), support=x[np.array(sv_rows, dtype=np.intp)],
+                    sv_counts=sv_counts, dual_coef=dual, intercepts=intercepts)
 
 
 def mlp_oracle_scores(model: MlpModel, x):

@@ -26,6 +26,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Dataset(x=np.ones((0, 2)), y=np.zeros(0, dtype=int), class_names=("a",))
 
+    @pytest.mark.parametrize("names", [("a", "a"), (1, None), ("a", 2)])
+    def test_rejects_class_tables_that_are_not_distinct_strings(self, names):
+        with pytest.raises(ValueError, match="class names must be distinct strings"):
+            Dataset(x=np.arange(8.0).reshape(4, 2), y=np.array([0, 0, 1, 1]), class_names=names)
+
 
 class TestSplit:
     def test_80_20_proportions_per_class(self):

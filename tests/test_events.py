@@ -16,7 +16,7 @@ class TestDetect:
 
     def test_step_up_is_on_event(self):
         ev = detect_event(10.0, 90.0, threshold_w=5.0, window_index=3)
-        assert ev == SwitchEvent(window_index=3, delta_p_w=80.0, direction="on")
+        assert ev == SwitchEvent(window_index=3, delta_p_w=80.0)
 
     def test_boundary_is_strict(self):
         assert detect_event(90.0, 86.0, threshold_w=5.0) is None  # |delta| = 4
@@ -26,6 +26,10 @@ class TestDetect:
     def test_step_down_is_off_event(self):
         ev = detect_event(60.0, 10.0)
         assert ev.direction == "off" and ev.delta_p_w == -50.0
+
+    def test_direction_follows_the_sign_of_the_step(self):
+        assert SwitchEvent(window_index=0, delta_p_w=10.0).direction == "on"
+        assert SwitchEvent(window_index=0, delta_p_w=-10.0).direction == "off"
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -76,7 +80,7 @@ class TestDeltaFeature:
 
 
 def events_at(*indices):
-    return [SwitchEvent(window_index=j, delta_p_w=10.0, direction="on") for j in indices]
+    return [SwitchEvent(window_index=j, delta_p_w=10.0) for j in indices]
 
 
 class TestGuard:

@@ -1,17 +1,21 @@
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from helpers import blob_dataset, random_knn, random_mlp, random_rf, random_svm
 from nilmedge.models.base import Scaler
+from nilmedge.models.forest import TreeNodes
 from nilmedge.models.io import (
+    TREE_ARRAYS,
     ModelFormatError,
     ModelIntegrityError,
     ModelTruncatedError,
     ModelVersionError,
+    _parts,
+    _rebuild,
     deserialize,
     from_json,
     load_model,
@@ -273,3 +277,68 @@ def test_binary_non_finite_real_names_its_array(rng):
     x[3, 1] = np.nan
     with pytest.raises(ModelIntegrityError, match="'train_x' holds a non-finite value"):
         deserialize(serialize(replace(m, train_x=x)))
+
+
+class _Reads(dict):
+    """A dict that records the keys read through it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_each_kind_writes_exactly_the_arrays_its_loader_reads(rng):
+    scaled = replace(random_knn(rng), scaler=Scaler(mean=np.zeros(5), std=np.ones(5)))
+    for m in all_kinds(rng) + [scaled]:
+        params, named = _parts(m)
+        meta = json.loads(to_json(m))["meta"]
+        assert meta["params"] == params
+        arrays = _Reads(named)
+        rebuilt = _rebuild(model_kind(m), meta, arrays)
+        assert arrays.read == {name for name, _ in named}
+        assert serialize(rebuilt) == serialize(m)
+    assert [f for _, f in TREE_ARRAYS] == [f.name for f in fields(TreeNodes)]
+
+
+@pytest.mark.parametrize("names", [["a", "a"], [1, None], ["a", 2]])
+def test_class_tables_that_are_not_distinct_strings_are_integrity_errors(rng, names):
+    m = random_knn(rng, n_classes=2)
+    with pytest.raises(ModelIntegrityError, match="class names must be distinct strings"):
+        deserialize(with_header(serialize(m), class_names=names))
+    doc = json.loads(to_json(m))
+    doc["meta"]["class_names"] = names
+    with pytest.raises(ModelIntegrityError, match="class names must be distinct strings"):
+        from_json(json.dumps(doc))
+
+
+def _knn_doc_with_labels(labels, dtype="<i4") -> str:
+    m = random_knn(np.random.default_rng(0), n=4, k=1, n_classes=2)
+    doc = json.loads(to_json(m))
+    entry = next(e for e in doc["meta"]["arrays"] if e["name"] == "train_y")
+    entry["dtype"] = dtype
+    doc["arrays"]["train_y"] = labels
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("labels, dtype", [
+    ([0, 1, 2, 1], "<i4"),  # a class the two-name table does not have
+    ([0.7.hex(), 1.7.hex(), 0.0.hex(), 1.0.hex()], "<f8"),  # fractional labels
+    ([0, -1, 1, 0], "<i4"),  # a negative label
+])
+def test_knn_labels_outside_the_class_table_are_integrity_errors(labels, dtype):
+    with pytest.raises(ModelIntegrityError, match="train_y"):
+        from_json(_knn_doc_with_labels(labels, dtype))
+
+
+def test_binary_knn_labels_outside_the_class_table_are_integrity_errors(rng):
+    m = random_knn(rng, n_classes=2)
+    with pytest.raises(ModelIntegrityError, match="train_y"):
+        deserialize(with_header(serialize(m), class_names=["a"]))
+    blob = bytearray(serialize(m))
+    blob[-4:] = (-1).to_bytes(4, "little", signed=True)  # the last row's int32 label
+    with pytest.raises(ModelIntegrityError, match="train_y"):
+        deserialize(bytes(blob))

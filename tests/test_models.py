@@ -103,6 +103,22 @@ class TestSelect:
                      k=1, train_x=np.zeros((2, 2)), train_y=np.array([0, 1]))
 
 
+@pytest.mark.parametrize("names", [("a", "a"), (1, None), ("a", 2)])
+def test_models_reject_class_tables_that_are_not_distinct_strings(names):
+    with pytest.raises(ValueError, match="class names must be distinct strings"):
+        KnnModel(**{**_base(2, 1), "class_names": names}, k=1,
+                 train_x=np.zeros((2, 1)), train_y=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0.7, 1.7], [-1, 0], [np.nan, 0], ["a", "a"]])
+def test_knn_labels_must_be_class_ids_of_the_table(labels):
+    # a one-class table: only label 0 (an int or a whole float) is allowed
+    with pytest.raises(ValueError, match="train_y"):
+        KnnModel(**_base(1, 1), k=1, train_x=np.zeros((2, 1)), train_y=np.array(labels))
+    assert KnnModel(**_base(1, 1), k=1, train_x=np.zeros((2, 1)),
+                    train_y=np.zeros(2)).train_y.tolist() == [0, 0]
+
+
 class TestParameterWidth:
     """Each kind's parameters must be as wide as its selection, or building
     the model fails instead of its first prediction."""
@@ -231,6 +247,31 @@ class TestSvm:
                      support=rng.normal(size=(6, 2)), sv_counts=np.array([2, 2, 2]),
                      dual_coef=rng.normal(size=(3, 6)),  # should be (2, 6)
                      intercepts=np.zeros(3))
+
+    @pytest.mark.parametrize("intercepts, tied_winner", [
+        ((1.0, -2.0, 3.0), 1),  # summed decisions -1, 2, -1
+        ((1.0, -1.0, 1.0), 0),  # summed decisions all 0: the lowest id
+    ])
+    def test_cyclic_vote_ties_against_oracle(self, intercepts, tied_winner):
+        # one SV per class at 1.0 and every dual coefficient 1: each pair
+        # decision is 2x + its intercept, so near x = 0 class 0 beats 1, 1
+        # beats 2 and 2 beats 0 (one vote each), while |x| = 5 gives no tie
+        m = SvmModel(**_base(3, 1), kernel="linear", gamma=1.0,
+                     support=np.ones((3, 1)), sv_counts=np.array([1, 1, 1]),
+                     dual_coef=np.ones((2, 3)), intercepts=np.array(intercepts))
+        x = np.array([[0.0], [5.0], [-5.0], [0.1], [np.nan]])
+        got = m.predict_matrix(x)
+        assert got.tolist() == [svm_oracle(m, row) for row in x]
+        assert got[0] == tied_winner and got[1:3].tolist() == [0, 2]
+        assert got[4] == 2  # a NaN decision votes for b: class c gets c votes
+
+    def test_nan_summed_decisions_rank_last_among_tied_classes(self, rng, monkeypatch):
+        # pair (0, 1) is NaN and votes for 1, 0 beats 2, 2 beats 1: a cyclic
+        # tie whose summed decisions are NaN, NaN and 0
+        m = random_svm(rng, n_classes=3)
+        monkeypatch.setattr(SvmModel, "decision_pairs",
+                            lambda self, x: np.array([[np.nan, 1.0, -1.0]]))
+        assert m.predict_matrix(np.zeros((1, 5))).tolist() == [2]
 
     def test_paper_scale_coefficient_accounting(self, rng):
         # 10 classes with a shared pool of 1950 SVs carries 9 coefficient

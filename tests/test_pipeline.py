@@ -22,6 +22,7 @@ from nilmedge.features import (
     write_features_csv,
 )
 from nilmedge.pipeline import (
+    StreamLabel,
     _event_core,
     _matching_toggle,
     classify_stream,
@@ -293,6 +294,14 @@ class TestClassifyStream:
         by_window = {s.window_index: s for s in classify_stream(stream, model, mode="multi")}
         assert by_window[10].status == "pending" and by_window[10].valid
         assert [s.status for s in by_window.values()].count("labeled") == 4
+
+
+@pytest.mark.parametrize("status, valid", [("labeled", True), ("pending", True),
+                                           ("invalid", False)])
+def test_stream_label_direction_and_validity_follow_its_fields(status, valid):
+    for delta, direction in ((12.5, "on"), (-12.5, "off")):
+        s = StreamLabel(window_index=4, delta_p_w=delta, status=status, label=None)
+        assert (s.direction, s.valid) == (direction, valid)
 
 
 def test_entries_build_no_window_objects(monkeypatch):

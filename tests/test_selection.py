@@ -46,6 +46,45 @@ class TestGridSpec:
             GridSpec(**{axis: values})
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("svm_c", (1.0, float("nan"))),
+    ("svm_c", (float("inf"),)),
+    ("svm_gamma", (float("nan"),)),
+    ("svm_gamma", (True,)),
+    ("svm_kernel", ("poly",)),
+    ("knn_k", (1.5,)),
+    ("knn_k", (True,)),
+    ("rf_trees", (2.5,)),
+    ("rf_trees", (0,)),
+    ("rf_depth", (-1,)),
+    ("rf_depth", (None, 2.0)),
+    ("mlp_epochs", 2.5),
+    ("mlp_epochs", 0),
+])
+def test_grid_cells_that_can_only_fail_are_rejected_naming_the_axis(axis, values):
+    # each used to build, then train and fail on every fold of every split
+    with pytest.raises(ValueError, match=axis.removeprefix("mlp_")):
+        GridSpec(**{axis: values})
+
+
+def test_cells_that_fail_on_their_data_still_build():
+    grid = GridSpec(knn_k=(10_000,), rf_depth=(0, None), svm_kernel=("rbf", "linear"))
+    assert grid.cells("knn") == [{"k": 10_000}]
+
+
+@pytest.mark.parametrize("folds", [2.5, True, 1])
+def test_grid_search_folds_must_be_an_int_of_at_least_two(folds):
+    with pytest.raises(ValueError, match="folds"):
+        grid_search(blob_dataset(per_class=12), "knn", GridSpec(knn_k=(1,)), folds=folds)
+
+
+@pytest.mark.parametrize("repetitions", [2.5, True, 0])
+def test_mda_repetitions_must_be_an_int_of_at_least_one(repetitions):
+    tr, te = split_dataset(blob_dataset(per_class=12), 0.5, seed=0)
+    with pytest.raises(ValueError, match="repetitions"):
+        mda_rank("knn", {"k": 1}, tr, te, repetitions=repetitions)
+
+
 class TestGridSearch:
     def test_single_cell_grid_returns_it(self):
         d = blob_dataset(per_class=30)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import blob_dataset, worst_case_depth
+from helpers import blob_dataset, svm_dict_merge, worst_case_depth
 from nilmedge.models.base import classify_matrix
 from nilmedge.models.io import serialize
 from nilmedge.train import (
@@ -175,6 +175,12 @@ class TestMlp:
         with pytest.raises(ValueError, match=name):
             train_mlp(blob_dataset(per_class=20), **{"hidden": (4,), "epochs": 3, **params})
 
+    @pytest.mark.parametrize("epochs", [2.5, True, 0])
+    def test_epochs_that_are_not_a_count_rejected(self, epochs):
+        # 2.5 used to raise a bare TypeError from range, True to train one epoch
+        with pytest.raises(ValueError, match="epochs"):
+            train_mlp(blob_dataset(per_class=20), hidden=(4,), epochs=epochs)
+
     def test_glorot_bounds(self):
         rng = np.random.default_rng(0)
         ws, bs = init_parameters((10, 20, 5), rng)
@@ -224,6 +230,26 @@ class TestSvm:
             train_svm(d, c=-1.0)
         with pytest.raises(ValueError):
             train_svm(d, c=1.0, gamma=-0.5)
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+@pytest.mark.parametrize("n_classes", [2, 3, 6])
+def test_svm_merge_matches_the_dict_oracle_byte_for_byte(n_classes, kernel):
+    # overlapping blobs in shuffled row order: SVs of every class sit between
+    # rows of other classes, so the grouping by class is not the row order
+    d = blob_dataset(n_classes=n_classes, per_class=20, spread=2.5, seed=n_classes)
+    perm = np.random.default_rng(n_classes).permutation(d.n)
+    d = Dataset(x=d.x[perm], y=d.y[perm], class_names=d.class_names, layout=d.layout)
+    m = train_svm(d, c=1.0, gamma=0.3, kernel=kernel)
+    assert "capped_pairs" not in m.metadata
+    assert serialize(m) == serialize(svm_dict_merge(d, 1.0, 0.3, kernel))
+    assert np.all(m.sv_counts > 0) and np.any(np.diff(d.y) < 0)
+
+
+def test_svm_needs_two_classes():
+    d = Dataset(x=np.arange(8.0).reshape(4, 2), y=np.zeros(4, dtype=int), class_names=("a",))
+    with pytest.raises(ValueError, match="two classes"):
+        train_svm(d)
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf])
