@@ -71,14 +71,39 @@ def _twiddles(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(half) / m)
 
 
+def _butterflies(a: np.ndarray) -> np.ndarray:
+    """The radix-2 stages, in place, on (rows, n) complex rows already in
+    bit-reversed order; returns a. Each stage multiplies the odd halves by
+    the twiddles into one half-size buffer t, then writes even - t over the
+    odd half and even + t over the even half.
+
+    The bits do not depend on the memory layout, the speed does: with the
+    rows as the fast axis (Fortran order, as a column gather leaves them)
+    every ufunc runs along contiguous runs of rows, where C order gives
+    runs of m/2 elements, one at the first stage (about 40 against 65 us
+    per row of a 32-row block)."""
+    rows, n = a.shape
+    t = np.empty((rows, n // 2), dtype=np.complex128, order="F")
+    m = 2
+    while m <= n:
+        half = m // 2
+        pairs = a.reshape(rows, n // m, m)
+        even, odd = pairs[..., :half], pairs[..., half:]
+        product = t.reshape(rows, n // m, half)
+        np.multiply(odd, _twiddles(m), out=product)
+        np.subtract(even, product, out=odd)
+        np.add(even, product, out=even)
+        m *= 2
+    return a
+
+
 def fft_radix2(x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Iterative radix-2 decimation-in-time transform along the last axis.
 
     The last axis must have a power-of-two length; leading axes, if any, are
     a batch of independent rows. Returns the full two-sided complex spectrum
-    of every row, in the input's shape. Each butterfly stage reads one
-    buffer and writes the other; every operation is elementwise, so a row
-    comes out bit for bit the same whatever it is batched with.
+    of every row, in the input's shape. Every operation is elementwise, so
+    a row comes out bit for bit the same whatever it is batched with.
     """
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 0:
@@ -87,20 +112,8 @@ def fft_radix2(x: Sequence[float] | np.ndarray) -> np.ndarray:
     n = shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"input length must be a power of two, got {n}")
-    a = a.reshape(-1, n)[:, _bit_reversal(n)]
-    b = np.empty_like(a)
-    m = 2
-    while m <= n:
-        half = m // 2
-        src = a.reshape(len(a), n // m, m)
-        dst = b.reshape(len(a), n // m, m)
-        even = src[..., :half]
-        odd = src[..., half:] * _twiddles(m)
-        np.add(even, odd, out=dst[..., :half])
-        np.subtract(even, odd, out=dst[..., half:])
-        a, b = b, a
-        m *= 2
-    return a.reshape(shape)
+    rows = a.reshape(-1, n)[:, _bit_reversal(n)]  # a copy: the input is not written
+    return _butterflies(rows).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -116,11 +129,26 @@ class Spectrum:
             raise ValueError(f"one-sided spectrum has {FFT_SIZE // 2 + 1} bins, got {self.bins.size}")
 
 
+@lru_cache(maxsize=None)
+def _padded_reversal() -> tuple[np.ndarray, np.ndarray]:
+    """The bit-reversed positions of a 1024-point transform that hold a
+    window sample, and the sample each one holds; the rest hold padding."""
+    rev = _bit_reversal(FFT_SIZE)
+    positions = np.flatnonzero(rev < WINDOW_SAMPLES)
+    samples = rev[positions]
+    positions.flags.writeable = samples.flags.writeable = False
+    return positions, samples
+
+
 def _padded_fft(current: np.ndarray) -> np.ndarray:
-    """Two-sided 1024-point spectra of (n, 1000) current rows, zero-padded."""
-    padded = np.zeros((len(current), FFT_SIZE))
-    padded[:, :WINDOW_SAMPLES] = current
-    return fft_radix2(padded)
+    """Two-sided 1024-point spectra of (n, 1000) current rows, zero-padded:
+    fft_radix2 of the padded rows, bit for bit, with the samples written
+    straight into the bit-reversed complex rows (no padded float copy and
+    no second complex array)."""
+    positions, samples = _padded_reversal()
+    a = np.zeros((len(current), FFT_SIZE), dtype=np.complex128, order="F")
+    a[:, positions] = current[:, samples]
+    return _butterflies(a)
 
 
 def fft_1024(current: Sequence[float] | np.ndarray) -> Spectrum:

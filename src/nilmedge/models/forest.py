@@ -1,19 +1,25 @@
 """Random-forest inference over one node table for the whole forest.
 
-Each tree is four parallel arrays indexed by node id: the split feature
-(-1 marks a leaf), the threshold, and the left/right child ids, which always
-point forward (child id > node id). Routing follows `x[feature] <= threshold`
-to the left child. The forest takes a majority vote with the lowest class id
-winning ties.
+Each tree is five parallel arrays indexed by node id: the split feature
+(-1 marks a leaf), the threshold, the left/right child ids, which always
+point forward (child id > node id), and the leaf class. Routing follows
+`x[feature] <= threshold` to the left child. The forest takes a majority
+vote with the lowest class id winning ties.
 
 For inference the trees are concatenated once into a `NodeTable`: child ids
 are offset by each tree's start, the roots are those offsets, and every leaf
-points to itself on both sides. All (row, tree) pairs then step together a
-fixed number of times, the deepest tree's depth; a pair that reached its
-leaf early stays there. This is the "perfect tree traversal" of Hummingbird
-(Nakandala et al., OSDI 2020). Each tree's worst-case depth is found once,
-one level at a time over the whole table, when the table is built; the step
-count and the cost model's comparison count both read it.
+points to itself on both sides. The child ids sit in one interleaved array,
+node i's right child at 2i and its left child at 2i + 1, so a routing step
+is one gather, `children[2 * pos + go_left]`, and NaN, which compares False,
+goes right. All (row, tree) pairs step together a fixed number of times,
+the deepest tree's depth; a pair that reached its leaf early stays there.
+This is the "perfect tree traversal" of Hummingbird (Nakandala et al.,
+OSDI 2020). Each tree's worst-case depth is found once, one level at a time
+over the whole table, when the table is built; the step count and the cost
+model's comparison count both read it. The table is also where a forest is
+validated, once over the joined arrays: `concat` checks each tree's
+structure, and `RfModel` the split features and leaf classes against its
+own feature and class counts.
 
 `NodeTable.leaf_classes` can route a subset of the trees, in as many steps
 as the deepest of them takes. Permutation importance uses it through
@@ -56,24 +62,12 @@ class TreeNodes:
     def n_nodes(self) -> int:
         return int(self.feature.size)
 
-    def validate(self, n_features: int, n_classes: int) -> None:
-        """Feature and class ids against the model; `NodeTable.concat`
-        checks the child ids."""
-        if self.n_nodes == 0:
-            raise TreeIntegrityError("empty node table")
-        internal = self.feature != LEAF
-        leaves = ~internal
-        if np.any((self.feature[internal] < 0) | (self.feature[internal] >= n_features)):
-            raise TreeIntegrityError("split feature index out of range")
-        if np.any((self.leaf_class[leaves] < 0) | (self.leaf_class[leaves] >= n_classes)):
-            raise TreeIntegrityError("leaf class id out of range")
-
     def route_matrix(self, x: np.ndarray) -> np.ndarray:
         """Leaf class for each row of x: the one-tree case of `NodeTable`."""
         return NodeTable.concat((self,)).leaf_classes(x)[:, 0]
 
 
-def _worst_case_depths(internal, left, right, roots) -> np.ndarray:
+def _worst_case_depths(internal, children, roots) -> np.ndarray:
     """Each tree's longest root-to-leaf path, one tree level at a time over
     the whole table; every node has at most one parent and children point
     forward, so each node is visited once."""
@@ -81,7 +75,7 @@ def _worst_case_depths(internal, left, right, roots) -> np.ndarray:
     level, d = roots[internal[roots]], 0
     while level.size:
         d += 1
-        level = np.concatenate((left[level], right[level]))
+        level = children[level].ravel()
         depth[level] = d
         level = level[internal[level]]
     return np.maximum.reduceat(depth, roots)
@@ -93,8 +87,7 @@ class NodeTable:
 
     feature: np.ndarray  # (n_nodes,) intp, 0 for leaves
     threshold: np.ndarray  # (n_nodes,) float
-    left: np.ndarray  # (n_nodes,) intp global child ids; a leaf's own id
-    right: np.ndarray
+    children: np.ndarray  # (2 * n_nodes,) intp global ids, node i's right then left; a leaf's own
     leaf_class: np.ndarray  # (n_nodes,) intp, LEAF for internal nodes
     roots: np.ndarray  # (n_trees,) intp, each tree's first node
     depths: np.ndarray  # (n_trees,) intp, each tree's worst-case depth
@@ -103,35 +96,45 @@ class NodeTable:
 
     @classmethod
     def concat(cls, trees) -> "NodeTable":
+        """The trees' node arrays joined, after checking each tree's
+        structure: at least one node, split features not negative, a leaf
+        class on leaves only and never negative, child ids pointing forward
+        within their own tree, and no node the child of two splits."""
         sizes = np.array([t.n_nodes for t in trees], dtype=np.intp)
+        if np.any(sizes == 0):
+            raise TreeIntegrityError("empty node table")
         roots = np.cumsum(sizes) - sizes
         start = np.repeat(roots, sizes)  # each node's tree start
-        end = start + np.repeat(sizes, sizes)
         feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
-        left = np.concatenate([t.left for t in trees]).astype(np.intp) + start
-        right = np.concatenate([t.right for t in trees]).astype(np.intp) + start
+        leaf_class = np.concatenate([t.leaf_class for t in trees]).astype(np.intp)
         internal = feature != LEAF
         if np.any(feature[internal] < 0):
             raise TreeIntegrityError("split feature index out of range")
-        parent = np.flatnonzero(internal)
-        for child in (left[internal], right[internal]):
-            if np.any((child <= parent) | (child >= end[internal])):
-                raise TreeIntegrityError("a child id must point forward within its own tree")
-        children = np.concatenate((left[internal], right[internal]))
-        if np.bincount(children).max(initial=0) > 1:
-            raise TreeIntegrityError("a node is the child of two splits")
-        depths = _worst_case_depths(internal, left, right, roots)
-        width = int(feature[internal].max(initial=-1)) + 1
+        if np.any(leaf_class[internal] != LEAF):  # trees_using finds splits by it
+            raise TreeIntegrityError("a split node carries a leaf class")
         leaf = np.flatnonzero(~internal)
+        if np.any(leaf_class[leaf] < 0):
+            raise TreeIntegrityError("leaf class id out of range")
+        children = np.empty((feature.size, 2), dtype=np.intp)
+        children[:, 0] = np.concatenate([t.right for t in trees])
+        children[:, 1] = np.concatenate([t.left for t in trees])
+        children += start[:, None]
+        parent = np.flatnonzero(internal)
+        split_children = children[parent]
+        end = (start + np.repeat(sizes, sizes))[parent, None]
+        if np.any((split_children <= parent[:, None]) | (split_children >= end)):
+            raise TreeIntegrityError("a child id must point forward within its own tree")
+        if np.bincount(split_children.ravel()).max(initial=0) > 1:
+            raise TreeIntegrityError("a node is the child of two splits")
+        depths = _worst_case_depths(internal, children, roots)
+        width = int(feature[internal].max(initial=-1)) + 1
         feature[leaf] = 0
-        left[leaf] = leaf
-        right[leaf] = leaf
+        children[leaf] = leaf[:, None]
         return cls(
             feature=feature,
             threshold=np.concatenate([t.threshold for t in trees]),
-            left=left,
-            right=right,
-            leaf_class=np.concatenate([t.leaf_class for t in trees]).astype(np.intp),
+            children=children.ravel(),
+            leaf_class=leaf_class,
             roots=roots,
             depths=depths,
             steps=int(depths.max()),
@@ -154,7 +157,7 @@ class NodeTable:
         pos = np.broadcast_to(roots, (x.shape[0], roots.size))
         for _ in range(steps):
             go_left = flat[row_start + self.feature[pos]] <= self.threshold[pos]
-            pos = np.where(go_left, self.left[pos], self.right[pos])
+            pos = self.children[2 * pos + go_left]  # NaN compares False: right
         return self.leaf_class[pos]
 
     def trees_using(self, feature: int) -> np.ndarray:
@@ -187,9 +190,12 @@ class RfModel(BaseModel):
         object.__setattr__(self, "trees", tuple(self.trees))
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
-        for tree in self.trees:
-            tree.validate(self.n_features, self.n_classes)
-        object.__setattr__(self, "table", NodeTable.concat(self.trees))
+        table = NodeTable.concat(self.trees)
+        if table.width > self.n_features:
+            raise TreeIntegrityError("split feature index out of range")
+        if table.leaf_class.max() >= self.n_classes:
+            raise TreeIntegrityError("leaf class id out of range")
+        object.__setattr__(self, "table", table)
 
     @property
     def n_trees(self) -> int:

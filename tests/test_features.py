@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,21 @@ class TestBlockExtract:
 
     def test_empty_block(self):
         assert extract_feature_matrix(np.empty((0, 1000)), np.empty((0, 1000))).shape == (0, 103)
+
+    def test_a_block_keeps_its_working_set_small(self, rng):
+        """A 32-window block stays below 1.25 MiB of traced allocations
+        (about 1.0 MiB measured): one bit-reversed complex array and a
+        half-size butterfly buffer. A padded float copy, its complex copy
+        and a second complex array for the butterflies read 2.0 MiB."""
+        v, i = rng.normal(size=(2, 32, 1000))
+        extract_feature_matrix(v, i)  # fill the cached index and twiddle tables
+        tracemalloc.start()
+        try:
+            extract_feature_matrix(v, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
 
     @pytest.mark.parametrize("shapes", [((1000,), (1000,)), ((2, 1000), (3, 1000)),
                                         ((2, 999), (2, 999))])

@@ -6,6 +6,7 @@ import pytest
 from helpers import leaf_oracle, random_rf, random_tree, rf_oracle, worst_case_depth
 from nilmedge.features import DEFAULT_LAYOUT
 from nilmedge.models.forest import NodeTable, RfModel, TreeIntegrityError, TreeNodes
+from nilmedge.models.io import ModelIntegrityError, deserialize, serialize
 
 N_FEATURES = 6
 N_CLASSES = 3
@@ -174,3 +175,47 @@ def test_trees_using_lists_every_tree_with_that_split(seed):
     for feature in range(N_FEATURES + 3):
         want = [t for t, tree in enumerate(forest.trees) if feature in tree.feature]
         assert forest.table.trees_using(feature).tolist() == want
+
+
+def split_tree(feature=0, leaves=(0, 1)) -> TreeNodes:
+    return TreeNodes(feature=[feature, -1, -1], threshold=[0.5, 0, 0],
+                     left=[1, -1, -1], right=[2, -1, -1], leaf_class=[-1, *leaves])
+
+
+BAD_TREES = {  # id: (message, tree)
+    "no nodes": ("empty node table",
+                 TreeNodes(feature=[], threshold=[], left=[], right=[], leaf_class=[])),
+    "feature too large": ("split feature index out of range", split_tree(feature=N_FEATURES)),
+    "feature negative": ("split feature index out of range", split_tree(feature=-2)),
+    "class too large": ("leaf class id out of range", split_tree(leaves=(0, N_CLASSES))),
+    "class negative": ("leaf class id out of range", split_tree(leaves=(-1, 0))),
+    "class on a split": ("a split node carries a leaf class",
+                         TreeNodes(feature=[0, -1, -1], threshold=[0.5, 0, 0], left=[1, -1, -1],
+                                   right=[2, -1, -1], leaf_class=[1, 0, 1])),
+}
+
+
+def forest_fields(tree3: TreeNodes) -> dict:
+    """The fields of a five-tree forest whose tree 3 is `tree3`."""
+    rng = np.random.default_rng(3)
+    trees = [random_tree(rng, N_FEATURES, N_CLASSES) for _ in range(5)]
+    trees[3] = tree3
+    return dict(class_names=tuple(f"c{k}" for k in range(N_CLASSES)), layout=DEFAULT_LAYOUT,
+                selected_indices=tuple(range(N_FEATURES)), scaler=None, trees=tuple(trees))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TREES))
+def test_a_bad_tree_after_good_ones_is_rejected(case):
+    message, bad = BAD_TREES[case]
+    with pytest.raises(TreeIntegrityError, match=message):
+        RfModel(**forest_fields(bad))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TREES))
+def test_a_model_file_with_a_bad_tree_after_good_ones_is_rejected(case):
+    message, bad = BAD_TREES[case]
+    model = RfModel(**forest_fields(split_tree()))
+    # serialize writes the trees as they are
+    object.__setattr__(model, "trees", forest_fields(bad)["trees"])
+    with pytest.raises(ModelIntegrityError, match=message):
+        deserialize(serialize(model))
