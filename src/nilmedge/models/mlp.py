@@ -8,6 +8,9 @@ Weights are stored as (out, in) matrices. The forward pass is
 and the prediction is the argmax of the scores (lowest class id on exact
 ties, which is what argmax-first-hit gives). `forward` is that loop, written
 once: inference, SGD's backward pass and its hold-out scoring all call it.
+It adds each bias and rectifies in place on the fresh matmul result, which
+gives the bits of `np.maximum(a @ w.T + b, 0.0)` without its temporaries
+(a NaN passes through the rectifier).
 """
 
 from __future__ import annotations
@@ -20,13 +23,20 @@ from .base import BaseModel
 
 
 def forward(weights, biases, x, hidden=None):
-    """Scores for the rows of x; each rectified activation goes onto `hidden` if given."""
+    """Scores for the rows of x; each rectified activation goes onto `hidden` if given.
+
+    Each layer's bias and rectifier work in place on the fresh matmul result,
+    so neither x nor the parameters are written."""
     a = x
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
+        a = a @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
         if hidden is not None:
             hidden.append(a)
-    return a @ weights[-1].T + biases[-1]
+    scores = a @ weights[-1].T
+    scores += biases[-1]
+    return scores
 
 
 @dataclass(frozen=True)

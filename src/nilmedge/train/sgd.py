@@ -5,6 +5,18 @@ with zero biases. Ten percent of the training rows are held out internally
 and the epoch snapshot with the best held-out accuracy is returned (earliest
 epoch on ties). Fully deterministic for a fixed seed. The forward pass is the
 model's own `models.mlp.forward`, which also collects the activations backprop needs.
+
+One backward pass, `_backward`, serves both the gradient check and training.
+It yields the batch loss first, then each layer's gradients from the top
+layer down, and it forms the delta for the layer below from that layer's
+weights before it yields them. So a step checks its loss before any update,
+and `train_mlp` updates each layer as soon as its gradients exist, while
+they are still in cache, scaling the gradient in place (`g *= lr; w -= g`).
+Those are the bits of the loop that first collects every gradient and then
+runs `w -= lr * g` on every layer: each layer's gradients and delta read only
+weights that are not yet updated, `g * lr` rounds exactly as `lr * g`, and
+the in-place softmax and rectifier perform the same operations on the same
+values as their out-of-place forms.
 """
 
 from __future__ import annotations
@@ -50,35 +62,50 @@ def init_parameters(layer_sizes, rng):
     return weights, biases
 
 
+def _backward(weights, biases, x, y):
+    """Yield the batch's mean softmax cross-entropy, then (layer, weight_grad,
+    bias_grad) for each layer from the top down.
+
+    The delta for the layer below is formed from this layer's weights before
+    its gradients are yielded, so the caller may update the layer in place
+    as soon as they arrive. The gradients are fresh arrays the caller may
+    overwrite.
+    """
+    batch = x.shape[0]
+    activations = [x]
+    probs = forward(weights, biases, x, activations)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    picked = np.arange(batch)
+    yield float(-np.mean(np.log(probs[picked, y] + 1e-300)))
+
+    delta = probs
+    delta[picked, y] -= 1.0
+    delta /= batch
+    for layer in range(len(weights) - 1, -1, -1):
+        w_grad = delta.T @ activations[layer]
+        b_grad = delta.sum(axis=0)
+        if layer > 0:
+            below = delta @ weights[layer]
+            np.multiply(below, activations[layer] > 0, out=below)
+        yield layer, w_grad, b_grad
+        if layer > 0:
+            delta = below
+
+
 def loss_and_grads(weights, biases, x, y):
     """Mean softmax cross-entropy over the batch and its analytic gradients.
 
     Returns (loss, weight_grads, bias_grads); shapes mirror the parameters.
     The rectifier subgradient at exactly 0 is taken as 0.
     """
-    x = np.atleast_2d(x)
-    y = np.asarray(y, dtype=np.int64)
-    batch = x.shape[0]
-
-    activations = [x]
-    scores = forward(weights, biases, x, activations)
-
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(probs[np.arange(batch), y] + 1e-300)))
-
-    delta = probs
-    delta[np.arange(batch), y] -= 1.0
-    delta /= batch
-
+    steps = _backward(weights, biases, np.atleast_2d(x), np.asarray(y, dtype=np.int64))
+    loss = next(steps)
     w_grads = [None] * len(weights)
     b_grads = [None] * len(weights)
-    for layer in range(len(weights) - 1, -1, -1):
-        w_grads[layer] = delta.T @ activations[layer]
-        b_grads[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weights[layer]) * (activations[layer] > 0)
+    for layer, w_grad, b_grad in steps:
+        w_grads[layer], b_grads[layer] = w_grad, b_grad
     return loss, w_grads, b_grads
 
 
@@ -101,9 +128,8 @@ def train_mlp(
     rng = np.random.default_rng(seed)
     order = rng.permutation(y.size)
     n_holdout = max(1, int(round(0.1 * y.size)))
+    # a Dataset has >= 2 rows, so neither part is empty
     hold_idx, fit_idx = order[:n_holdout], order[n_holdout:]
-    if fit_idx.size == 0:  # degenerate tiny datasets train on everything
-        fit_idx = order
     x_fit, y_fit = x[fit_idx], y[fit_idx]
     x_hold, y_hold = x[hold_idx], y[hold_idx]
 
@@ -116,13 +142,14 @@ def train_mlp(
         perm = rng.permutation(y_fit.size)
         for lo in range(0, y_fit.size, batch):
             rows = perm[lo : lo + batch]
-            loss, w_grads, b_grads = loss_and_grads(weights, biases, x_fit[rows], y_fit[rows])
-            if not np.isfinite(loss):
+            steps = _backward(weights, biases, x_fit[rows], y_fit[rows])
+            if not np.isfinite(next(steps)):
                 raise DivergenceError(epoch)
-            for w, g in zip(weights, w_grads):
-                w -= lr * g
-            for b, g in zip(biases, b_grads):
-                b -= lr * g
+            for layer, w_grad, b_grad in steps:
+                w_grad *= lr
+                weights[layer] -= w_grad
+                b_grad *= lr
+                biases[layer] -= b_grad
         hold_pred = np.argmax(forward(weights, biases, x_hold), axis=1)
         acc = float(np.mean(hold_pred == y_hold))
         if acc > best_acc:

@@ -22,6 +22,7 @@ from nilmedge.models.svm import SvmModel, kernel_matrix, pair_order
 from nilmedge.signals import window_stream
 from nilmedge.train.cart import _rank_codes, _split_nodes
 from nilmedge.train.dataset import Dataset, model_inputs
+from nilmedge.train.sgd import DivergenceError, init_parameters
 from nilmedge.train.smo import SV_EPS, smo_binary
 
 
@@ -238,7 +239,8 @@ def svm_dict_merge(d: Dataset, c: float, gamma: float, kernel: str) -> SvmModel:
 
 
 def mlp_oracle_scores(model: MlpModel, x):
-    """Per-neuron scalar forward pass."""
+    """Per-neuron scalar forward pass. The rectifier passes NaN on, as
+    np.maximum does, and maps -0.0 to 0.0."""
     a = list(x)
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
         out = []
@@ -246,8 +248,8 @@ def mlp_oracle_scores(model: MlpModel, x):
             z = b[o]
             for i in range(w.shape[1]):
                 z += w[o, i] * a[i]
-            if layer < len(model.weights) - 1:
-                z = max(0.0, z)
+            if layer < len(model.weights) - 1 and not (z > 0.0 or math.isnan(z)):
+                z = 0.0
             out.append(z)
         a = out
     return a
@@ -257,6 +259,69 @@ def mlp_oracle(model: MlpModel, x) -> int:
     scores = mlp_oracle_scores(model, x)
     best = max(scores)
     return min(c for c, s in enumerate(scores) if s == best)
+
+
+def mlp_oracle_forward(weights, biases, x):
+    """Out-of-place forward pass: (scores, [x, hidden activations...])."""
+    activations = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        activations.append(np.maximum(activations[-1] @ w.T + b, 0.0))
+    return activations[-1] @ weights[-1].T + biases[-1], activations
+
+
+def mlp_oracle_grads(weights, biases, x, y):
+    """Out-of-place backward pass: (loss, weight_grads, bias_grads), every
+    layer's gradients formed before any of them is used."""
+    scores, activations = mlp_oracle_forward(weights, biases, x)
+    batch = x.shape[0]
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[np.arange(batch), y] + 1e-300)))
+    delta = probs
+    delta[np.arange(batch), y] -= 1.0
+    delta /= batch
+    w_grads = [None] * len(weights)
+    b_grads = [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        w_grads[layer] = delta.T @ activations[layer]
+        b_grads[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer]) * (activations[layer] > 0)
+    return loss, w_grads, b_grads
+
+
+def train_mlp_oracle(d: Dataset, hidden, lr, epochs, batch, seed,
+                     selected_indices=None) -> MlpModel:
+    """The two-phase SGD loop: each step forms every layer's gradients, checks
+    the loss, then runs `w -= lr * g` and `b -= lr * g` on every layer."""
+    fields, x = model_inputs(d, selected_indices)
+    y = d.y
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(y.size)
+    n_holdout = max(1, int(round(0.1 * y.size)))
+    hold_idx, fit_idx = order[:n_holdout], order[n_holdout:]
+    x_fit, y_fit = x[fit_idx], y[fit_idx]
+    x_hold, y_hold = x[hold_idx], y[hold_idx]
+    weights, biases = init_parameters((x.shape[1],) + tuple(hidden) + (len(d.class_names),), rng)
+
+    best_acc, best = -1.0, None
+    for epoch in range(epochs):
+        perm = rng.permutation(y_fit.size)
+        for lo in range(0, y_fit.size, batch):
+            rows = perm[lo:lo + batch]
+            loss, w_grads, b_grads = mlp_oracle_grads(weights, biases, x_fit[rows], y_fit[rows])
+            if not np.isfinite(loss):
+                raise DivergenceError(epoch)
+            weights = [w - lr * g for w, g in zip(weights, w_grads)]
+            biases = [b - lr * g for b, g in zip(biases, b_grads)]
+        scores, _ = mlp_oracle_forward(weights, biases, x_hold)
+        acc = float(np.mean(np.argmax(scores, axis=1) == y_hold))
+        if acc > best_acc:
+            best_acc, best = acc, (weights, biases, epoch)
+    weights, biases, best_epoch = best
+    return MlpModel(**fields, metadata={"best_epoch": best_epoch, "holdout_accuracy": best_acc},
+                    weights=tuple(weights), biases=tuple(biases))
 
 
 def rf_oracle(model: RfModel, x) -> int:

@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     knn_oracle,
     mlp_oracle,
+    mlp_oracle_forward,
     mlp_oracle_scores,
     random_knn,
     random_mlp,
@@ -18,7 +19,7 @@ from nilmedge.features import DEFAULT_LAYOUT
 from nilmedge.models.base import Scaler, ZeroVarianceError
 from nilmedge.models.forest import RfModel, TreeIntegrityError, TreeNodes
 from nilmedge.models.knn import KnnModel
-from nilmedge.models.mlp import MlpModel
+from nilmedge.models.mlp import MlpModel, forward
 from nilmedge.models.svm import SvmModel, kernel_matrix
 
 
@@ -305,6 +306,44 @@ class TestMlp:
             want_scores = mlp_oracle_scores(m, q)
             np.testing.assert_allclose(got_scores, want_scores, rtol=1e-12, atol=1e-12)
             assert int(m.predict_matrix(q[None, :])[0]) == mlp_oracle(m, q)
+
+    def test_scores_of_non_finite_and_negative_zero_rows_match_oracles(self, rng):
+        # weights and biases are multiples of 1/4 and the finite inputs small
+        # dyadics, so every sum is exact in any order; positive weights carry
+        # +inf through to the scores and let the rectifier turn -inf into 0;
+        # biases are never -0.0, whose sign a BLAS kernel's +0.0 accumulator drops
+        sizes = (4, 6, 5, 3)
+        m = MlpModel(**_base(3, 4),
+                     weights=tuple(rng.integers(1, 5, size=(o, i)) / 4.0
+                                   for i, o in zip(sizes, sizes[1:])),
+                     biases=tuple(rng.integers(-4, 5, size=o) / 4.0 for o in sizes[1:]))
+        inf, nan = np.inf, np.nan
+        x = np.array([[inf, 1.0, 2.0, 3.0], [-inf, 1.0, 2.0, 3.0], [nan, 1.0, 2.0, 3.0],
+                      [inf, -inf, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0],
+                      [-4.0, -0.0, -0.0, -0.0], [0.5, 0.25, -1.0, 2.0], [-0.0, 0.0, 1.0, nan]])
+        with np.errstate(invalid="ignore"):
+            got = m.scores_matrix(x)
+            out_of_place, _ = mlp_oracle_forward(m.weights, m.biases, x)
+            scalar = np.array([mlp_oracle_scores(m, row) for row in x])
+        assert got.tobytes() == out_of_place.tobytes()
+        # bit for bit, apart from NaN payloads, which IEEE leaves to the hardware
+        nan_at = np.isnan(got)
+        np.testing.assert_array_equal(nan_at, np.isnan(scalar))
+        assert got[~nan_at].tobytes() == scalar[~nan_at].tobytes()
+        assert nan_at.any() and np.isinf(got).any()
+
+    def test_forward_writes_neither_rows_nor_parameters(self, rng):
+        m = random_mlp(rng, sizes=(4, 6, 5, 3))
+        weights = [w.copy() for w in m.weights]
+        biases = [b.copy() for b in m.biases]
+        x = rng.normal(size=(9, 4))
+        kept = [a.tobytes() for a in (x, *weights, *biases)]
+        hidden = []
+        scores = forward(weights, biases, x, hidden)
+        assert [a.tobytes() for a in (x, *weights, *biases)] == kept
+        want, activations = mlp_oracle_forward(weights, biases, x)
+        assert scores.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in hidden] == [a.tobytes() for a in activations[1:]]
 
     def test_final_layer_positive_scaling_keeps_argmax(self, rng):
         m = random_mlp(rng, sizes=(4, 6, 5, 3))

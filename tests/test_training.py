@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import blob_dataset, svm_dict_merge, worst_case_depth
+from helpers import (
+    blob_dataset,
+    mlp_oracle_grads,
+    svm_dict_merge,
+    train_mlp_oracle,
+    worst_case_depth,
+)
 from nilmedge.models.base import classify_matrix
 from nilmedge.models.io import serialize
 from nilmedge.train import (
@@ -151,12 +157,58 @@ class TestMlp:
         assert serialize(a) == serialize(b)
 
     def test_divergence_error_names_epoch(self):
+        # a step's loss is checked before any of its layers is updated, so
+        # training stops in the epoch the two-phase loop stops in, also
+        # when that is not the first
         d = blob_dataset(per_class=20)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as err:
-                train_mlp(d, hidden=(8,), lr=1e9, epochs=10, batch=8, seed=0)
-        assert err.value.epoch >= 0
-        assert str(err.value.epoch) in str(err.value)
+        for hidden, lr, epoch in (((8, 8), 1e9, 0), ((8,), 1e9, 2), ((8,), 1e4, 6)):
+            errors = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for train in (train_mlp, train_mlp_oracle):
+                    with pytest.raises(DivergenceError) as err:
+                        train(d, hidden=hidden, lr=lr, epochs=40, batch=8, seed=0)
+                    errors.append(err.value)
+            assert [e.epoch for e in errors] == [epoch, epoch]
+            assert f"epoch {epoch}" in str(errors[0])
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (16, 8), (8, 8, 8)])
+    @pytest.mark.parametrize("batch", [1, 7, 500])
+    def test_model_bytes_equal_the_two_phase_loop(self, hidden, batch):
+        # 60 rows leave 54 to fit: batch 7 ends on a partial batch of 5,
+        # and batch 500 is one step of every fit row
+        d = blob_dataset(per_class=20)
+        args = dict(hidden=hidden, lr=0.05, epochs=5, batch=batch, seed=2)
+        assert serialize(train_mlp(d, **args)) == serialize(train_mlp_oracle(d, **args))
+
+    @pytest.mark.parametrize("d, selected", [
+        (blob_dataset(n_classes=3, per_class=25, n_features=6, seed=5), (4, 0, 3)),
+        # the smallest dataset: one hold-out row and one fit row
+        (Dataset(x=np.array([[0.5, -1.0], [2.0, 0.25]]), y=np.array([0, 0]),
+                 class_names=("only", "never")), None),
+    ])
+    def test_model_bytes_equal_the_two_phase_loop_on_subsets(self, d, selected):
+        args = dict(hidden=(6, 4), lr=0.1, epochs=6, batch=4, seed=1, selected_indices=selected)
+        a, b = train_mlp(d, **args), train_mlp_oracle(d, **args)
+        assert a.metadata == b.metadata
+        assert serialize(a) == serialize(b)
+
+    def test_training_leaves_the_dataset_unchanged(self):
+        d = blob_dataset(per_class=20)
+        kept = (d.x.tobytes(), d.y.tobytes())
+        train_mlp(d, hidden=(8, 4), lr=0.05, epochs=3, batch=7, seed=0)
+        assert (d.x.tobytes(), d.y.tobytes()) == kept
+
+    def test_loss_and_grads_are_unscaled_and_leave_parameters(self):
+        rng = np.random.default_rng(6)
+        ws, bs = init_parameters((5, 7, 4, 3), rng)
+        x = rng.normal(size=(11, 5))
+        y = rng.integers(0, 3, size=11)
+        kept = [a.tobytes() for a in (*ws, *bs)]
+        loss, w_grads, b_grads = loss_and_grads(ws, bs, x, y)
+        assert [a.tobytes() for a in (*ws, *bs)] == kept
+        want_loss, want_w, want_b = mlp_oracle_grads(ws, bs, x, y)
+        assert loss == want_loss
+        assert [g.tobytes() for g in w_grads + b_grads] == [g.tobytes() for g in want_w + want_b]
 
     @pytest.mark.parametrize("params, name", [
         ({"batch": -1}, "batch"),
