@@ -93,12 +93,15 @@ def event_guard(events: Sequence[SwitchEvent]) -> list[bool]:
     """Flag each event valid iff no other event lies within +-GUARD_RADIUS
     windows.
 
-    Invalid events are excluded from differential-vector classification."""
+    In window order the nearest other events are the two neighbours, so an
+    event is valid iff both gaps beside it exceed GUARD_RADIUS (an end
+    event has one gap): one pass over the sorted indices, where a pairwise
+    search would be quadratic in the events of a stream. Events must come
+    ordered by window index. Invalid events are excluded from
+    differential-vector classification."""
     indices = [e.window_index for e in events]
-    if indices != sorted(indices):
+    gaps = [b - a for a, b in zip(indices, indices[1:])]
+    if any(gap < 0 for gap in gaps):
         raise ValueError("events must be ordered by window index")
-    valid = []
-    for k, j in enumerate(indices):
-        clash = any(abs(j - other) <= GUARD_RADIUS for m, other in enumerate(indices) if m != k)
-        valid.append(not clash)
-    return valid
+    far = [True] + [gap > GUARD_RADIUS for gap in gaps] + [True]  # an end event has one gap
+    return [far[k] and far[k + 1] for k in range(len(indices))]

@@ -23,16 +23,17 @@ then one fancy index into the cached bin list of the layout. Streams are
 cut into row blocks by `signals.window_blocks`, EXTRACT_BLOCK windows at a
 time. The event core takes only `real_power_matrix` (no |S|, Q or FFT)
 from each block, for the real-power track, and the full layout only for
-the rows a result reads: the six windows of a differential vector in one
-call, or the one window of a single-mode label. `window_dataset` and
-`feature_matrix`, the whole-stream matrix that `nilmedge extract` writes,
-extract whole blocks; `extract_features` is the one-row call. A row comes
-out bit for bit the same in any block, with any rows beside it and in any
-memory layout: blocks are made C-contiguous first, so each product of a
-row is one BLAS dot of two contiguous 1000-sample rows (a strided dot sums
-in another order); the butterflies are elementwise; and magnitudes are
-np.hypot of the real and imaginary parts, which equals abs() of one
-complex scalar where np.abs of a complex array can differ in the last bit.
+the rows a result reads (the six windows of each differential vector, or
+the one window of each single-mode label), gathered EXTRACT_BLOCK rows per
+call. `window_dataset` and `feature_matrix`, the whole-stream matrix that
+`nilmedge extract` writes, extract whole blocks; `extract_features` is the
+one-row call. A row comes out bit for bit the same in any block, with any
+rows beside it and in any memory layout: blocks are made C-contiguous
+first, so each product of a row is one BLAS dot of two contiguous
+1000-sample rows (a strided dot sums in another order); the butterflies
+are elementwise; and magnitudes are np.hypot of the real and imaginary
+parts, which equals abs() of one complex scalar where np.abs of a complex
+array can differ in the last bit.
 """
 
 from __future__ import annotations

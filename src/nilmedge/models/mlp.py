@@ -6,8 +6,12 @@ Weights are stored as (out, in) matrices. The forward pass is
     scores = W_last a + b_last
 
 and the prediction is the argmax of the scores (lowest class id on exact
-ties, which is what argmax-first-hit gives). `forward` is that loop, written
-once: inference, SGD's backward pass and its hold-out scoring all call it.
+ties, which is what argmax-first-hit gives). A row with a NaN among its
+scores, such as a row holding a NaN feature, has no argmax:
+`predict_matrix` raises ValueError naming the first such row, where
+np.argmax would report the first NaN's class as a label. `forward` is that
+loop, written once: inference, SGD's backward pass and its hold-out
+scoring all call it.
 It adds each bias and rectifies in place on the fresh matmul result, which
 gives the bits of `np.maximum(a @ w.T + b, 0.0)` without its temporaries
 (a NaN passes through the rectifier).
@@ -79,4 +83,8 @@ class MlpModel(BaseModel):
         return forward(self.weights, self.biases, self._rows(x))
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.scores_matrix(x), axis=1).astype(np.int64)
+        scores = self.scores_matrix(x)
+        nan_rows = np.isnan(scores).any(axis=1)
+        if nan_rows.any():
+            raise ValueError(f"row {int(nan_rows.argmax())} has a NaN score and no label")
+        return np.argmax(scores, axis=1).astype(np.int64)

@@ -1,32 +1,34 @@
 """End-to-end plumbing: turning scenario streams into labeled datasets and
-running the online window -> features -> event -> classify loop.
+running the online window -> features -> event -> classify chain.
 
-One in-order event core serves both the offline differential-vector
-dataset and the online classifier, and yields one (event, valid, vector)
-per result, in window order. It reads the stream as consecutive
-(32, 1000) row blocks from signals.window_blocks (features.EXTRACT_BLOCK
-windows, 3.2 s of signal) and keeps the blocks that cover the last 41
-windows, as views into the stream. Every window gets its real power, one
-features.real_power_matrix call per block (no |S|, Q or FFT), and the
-core steps that track through threshold detection one window at a time.
-Single-appliance mode reports each event at its own window with that
-window's full vector. Otherwise an event detected at window j comes out
-at window j+20: the +-20-window guard decides it and, if it is valid,
-the six windows of its differential vector are extracted in the model's
-layout in one extract_feature_matrix call. Events still open at end of
-stream come out valid with no vector. So the harmonic FFT runs on the
-windows a result needs and on no others. Blocks change when a result is
-ready, up to 31 windows later, never what it is: a window's features do
-not depend on its block, on which other windows are extracted with it,
-or on the stream's memory layout. window_dataset reads the same blocks
-and extracts only their steady rows. No path builds a SampleWindow.
+One event core serves both the offline differential-vector dataset and the
+online classifier. It makes a few batched passes over the stream and
+returns one (event, valid, vector) per result, in window order. It reads
+the stream as consecutive (32, 1000) row blocks from signals.window_blocks
+(features.EXTRACT_BLOCK windows, 3.2 s of signal), as views: no pass copies
+the whole stream or holds more than the real power of every window. The
+passes are: P of each block (features.real_power_matrix: no |S|, Q or FFT);
+detect_event on the windows whose power step does not stay within the
+threshold; event_guard once on all events; then the harmonic FFT on only
+the windows the results read, EXTRACT_BLOCK rows per extract_feature_matrix
+call, and one delta_feature_from_windows call on every differential
+vector's stacked window triples. Single-appliance mode labels each event
+with its own window's full vector. Otherwise an event at window j is
+resolved iff window j+20 exists: the +-20-window guard decides it and, if
+it is valid and window j-20 exists, its differential vector comes from
+windows j-20, j-10, j-1, j+1, j+10 and j+20. Unresolved events come out
+valid with no vector. A window's features do not depend on its block, on
+which other windows are extracted with it, or on the stream's memory
+layout, and the delta arithmetic is elementwise, so every result has the
+bits it would have alone. Classification stays one row per event: a
+batched MLP forward or SVM kernel over many rows can differ from one-row
+calls in the last bits. window_dataset reads the same blocks and extracts
+only their steady rows. No path builds a SampleWindow.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .events import (
     DELTA_HALF_SPAN,
     DELTA_OFFSETS_POST,
     DELTA_OFFSETS_PRE,
-    GUARD_RADIUS,
     SwitchEvent,
     check_threshold,
     delta_feature,  # noqa: F401 - perfbench/spans.py wraps it at this name
@@ -60,60 +61,67 @@ from .train.dataset import Dataset
 
 def _event_core(
     stream: SampleStream, layout: FeatureLayout, threshold_w: float, single: bool = False,
-) -> Iterator[tuple[SwitchEvent, bool, np.ndarray | None]]:
-    """Yield (event, valid, x) per result, in window order.
+) -> list[tuple[SwitchEvent, bool, np.ndarray | None]]:
+    """(event, valid, x) per result, in window order, from a few passes over
+    the stream.
 
-    With single=True every event comes out at its own window, valid, and x
-    is that window's full vector in the layout. Otherwise an event at
-    window j comes out at window j+20 with the guard's verdict, and x is
-    its differential vector, or None when the guard rejects the event or
-    the stream has no window j-20; events still open at end of stream
-    come out as (event, True, None). The guard and the delta both need
-    every window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN. The
-    threshold is checked before the first window is read."""
+    1. P of every window, one real_power_matrix call per window_blocks
+       block; the blocks are views into the stream.
+    2. detect_event on each candidate window w only: those where
+       |P[w] - P[w-1]| <= threshold_w fails, every non-finite pair among
+       them. It builds the events and raises for the first non-finite one.
+    3. Multi mode runs event_guard once on all events. An event at window
+       j is resolved iff window j+20 exists: the guard and the delta both
+       need every window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN.
+    4. The windows the results read are extracted in EXTRACT_BLOCK-row
+       calls, and one delta_feature_from_windows call averages every
+       event's stacked triples. Its arithmetic is elementwise, so each
+       vector has the bits it has alone.
+
+    With single=True every event is valid and x is its own window's full
+    vector in the layout. Otherwise x is the event's differential vector,
+    or None when the guard rejects it or the stream has no window j-20; an
+    unresolved event comes out as (event, True, None). No samples are
+    copied beyond one extraction block. Callers classify the vectors one
+    row per event, since a batched MLP forward or SVM kernel can change a
+    row's last bits. The threshold is checked before the first window is
+    read."""
     check_threshold(threshold_w)
-    blocks: deque[tuple[int, np.ndarray, np.ndarray]] = deque()  # cover windows w-40 .. w
-    recent: deque[SwitchEvent] = deque()  # events the guard may still need
-    open_events: deque[SwitchEvent] = deque()
-    prev_p: float | None = None
-    for first, v, i in window_blocks(stream, EXTRACT_BLOCK):
-        blocks.append((first, v, i))
-        while blocks[0][0] + len(blocks[0][1]) <= first - 2 * DELTA_HALF_SPAN:
-            blocks.popleft()
-        # detection always runs on real power, whatever the layout holds
-        p_rows = real_power_matrix(v, i).tolist()
-        for k, p in enumerate(p_rows):
-            w = first + k
-            ev = None if prev_p is None else detect_event(prev_p, p, threshold_w, window_index=w)
-            prev_p = p
-            if ev is not None and single:
-                yield ev, True, _window_rows(blocks, [w], layout)[0]
-            elif ev is not None:
-                recent.append(ev)
-                open_events.append(ev)
-            j = w - DELTA_HALF_SPAN
-            if open_events and open_events[0].window_index == j:
-                due = open_events.popleft()
-                while recent[0].window_index < j - GUARD_RADIUS:
-                    recent.popleft()
-                near = list(recent)
-                valid = event_guard(near)[near.index(due)]
-                delta = None
-                if valid and j >= DELTA_HALF_SPAN:  # window j-20 exists
-                    rows = _window_rows(blocks, [j + off for off in DELTA_OFFSETS_PRE
-                                                 + DELTA_OFFSETS_POST], layout)
-                    delta = delta_feature_from_windows(rows[:3], rows[3:])
-                yield due, valid, delta
-    for ev in open_events:
-        yield ev, True, None
+    blocks = [(v, i) for _, v, i in window_blocks(stream, EXTRACT_BLOCK)]
+    # detection always runs on real power, whatever the layout holds
+    p = np.concatenate([real_power_matrix(v, i) for v, i in blocks] or [np.empty(0)])
+    p_list = p.tolist()
+    steps = np.flatnonzero(~(np.abs(np.diff(p)) <= threshold_w)) + 1
+    events = [detect_event(p_list[w - 1], p_list[w], threshold_w, window_index=w)
+              for w in steps.tolist()]
+    if single:
+        x = _extract_windows(blocks, [ev.window_index for ev in events], layout)
+        return [(ev, True, row) for ev, row in zip(events, x)]
+    offsets = DELTA_OFFSETS_PRE + DELTA_OFFSETS_POST
+    results, windows = [], []
+    for ev, valid in zip(events, event_guard(events)):
+        j = ev.window_index
+        resolved = j + DELTA_HALF_SPAN < len(p)
+        reads = resolved and valid and j >= DELTA_HALF_SPAN  # windows j-20 .. j+20 exist
+        results.append((ev, valid or not resolved, reads))
+        if reads:
+            windows += [j + off for off in offsets]
+    rows = _extract_windows(blocks, windows, layout)
+    triples = [rows[k::len(offsets)] for k in range(len(offsets))]
+    deltas = iter(delta_feature_from_windows(triples[:3], triples[3:]))
+    return [(ev, valid, next(deltas) if reads else None) for ev, valid, reads in results]
 
 
-def _window_rows(blocks, windows: list[int], layout: FeatureLayout) -> np.ndarray:
-    """The given windows' rows, picked from the held blocks, extracted in
-    the layout with one call."""
-    v_rows, i_rows = zip(*((v[w - first], i[w - first]) for w in windows
-                           for first, v, i in blocks if first <= w < first + len(v)))
-    return extract_feature_matrix(v_rows, i_rows, layout)
+def _extract_windows(blocks, windows: list[int], layout: FeatureLayout) -> np.ndarray:
+    """The given windows' rows in the layout, picked from the blocks and
+    extracted EXTRACT_BLOCK rows per call."""
+    out = np.empty((len(windows), len(layout)))
+    for lo in range(0, len(windows), EXTRACT_BLOCK):
+        picked = [blocks[w // EXTRACT_BLOCK] + (w % EXTRACT_BLOCK,)
+                  for w in windows[lo:lo + EXTRACT_BLOCK]]
+        out[lo:lo + len(picked)] = extract_feature_matrix(
+            np.stack([v[r] for v, _, r in picked]), np.stack([i[r] for _, i, r in picked]), layout)
+    return out
 
 
 def window_dataset(

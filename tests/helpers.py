@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from nilmedge.events import detect_event, event_guard
+from nilmedge.events import GUARD_RADIUS, detect_event
 from nilmedge.features import DEFAULT_LAYOUT, EXTRACT_BLOCK, TIME_ONLY_LAYOUT, FeatureLayout
 from nilmedge.models.base import classify_matrix
 from nilmedge.models.forest import RfModel, TreeNodes
@@ -510,6 +510,19 @@ def events_oracle(stream) -> list:
     return [ev for j in range(1, len(p)) if (ev := detect_event(p[j - 1], p[j], window_index=j))]
 
 
+def guard_oracle(events) -> list[bool]:
+    """event_guard by pairwise search: an event is valid iff no other event
+    lies within +-GUARD_RADIUS windows."""
+    indices = [e.window_index for e in events]
+    if indices != sorted(indices):
+        raise ValueError("events must be ordered by window index")
+    valid = []
+    for k, j in enumerate(indices):
+        clash = any(abs(j - other) <= GUARD_RADIUS for m, other in enumerate(indices) if m != k)
+        valid.append(not clash)
+    return valid
+
+
 def delta_oracle(stream, layout=DEFAULT_LAYOUT) -> dict[int, tuple[bool, np.ndarray | None]]:
     """(guard verdict, differential vector or None) of every event whose
     window j+20 exists, keyed by event window, from the whole stream held in
@@ -517,7 +530,7 @@ def delta_oracle(stream, layout=DEFAULT_LAYOUT) -> dict[int, tuple[bool, np.ndar
     feats = stream_features_oracle(stream, layout)
     events = events_oracle(stream)
     out = {}
-    for ev, ok in zip(events, event_guard(events)):
+    for ev, ok in zip(events, guard_oracle(events)):
         j = ev.window_index
         if j + 20 >= len(feats):
             continue

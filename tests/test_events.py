@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import guard_oracle
 from nilmedge.events import (
     SwitchEvent,
     delta_feature,
@@ -104,3 +105,15 @@ class TestGuard:
     def test_unordered_events_rejected(self):
         with pytest.raises(ValueError):
             event_guard(events_at(5, 3))
+
+    def test_no_events(self):
+        assert event_guard([]) == []
+
+    def test_matches_pairwise_oracle(self):
+        # gaps of 0 (ties), 20 and 21 windows straddle the radius
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            gaps = rng.choice([0, 1, 19, 20, 21, 22, 40, 41], size=n)
+            events = events_at(*np.cumsum(gaps).tolist())
+            assert event_guard(events) == guard_oracle(events)

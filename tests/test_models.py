@@ -299,6 +299,15 @@ class TestMlp:
         m2 = MlpModel(**_base(2, 2), weights=(w1, w2b), biases=(np.zeros(2), np.zeros(2)))
         assert int(m2.predict_matrix(np.array([3.0, 0.0])[None, :])[0]) == 1
 
+    def test_nan_score_row_raises_instead_of_labeling_class_0(self, rng):
+        m = random_mlp(rng, sizes=(4, 6, 3))
+        nan_row = [np.nan, 1.0, 2.0, 3.0]
+        assert np.isnan(m.scores_matrix(np.array([nan_row]))).all()
+        with pytest.raises(ValueError, match="row 0 has a NaN score"):
+            m.predict_matrix(np.array([nan_row]))
+        with pytest.raises(ValueError, match="row 1 has a NaN score"):
+            m.predict_matrix(np.array([[0.0, 1.0, 2.0, 3.0], nan_row, nan_row]))
+
     def test_matches_scalar_oracle(self, rng):
         m = random_mlp(rng, sizes=(4, 3, 3, 2))
         for q in rng.normal(size=(100, 4)):

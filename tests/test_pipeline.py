@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ import nilmedge.features as features_module
 from nilmedge.events import delta_feature
 from nilmedge.features import (
     DEFAULT_LAYOUT,
+    EXTRACT_BLOCK,
     FREQUENCY_ONLY_LAYOUT,
     FeatureLayout,
     extract_feature_matrix,
@@ -32,7 +35,14 @@ from nilmedge.pipeline import (
 )
 from nilmedge.scenarios import MULTI5_REGISTRY, overlapping_script
 from nilmedge.signals import SampleStream, SampleWindow, window_blocks, window_stream
-from nilmedge.synth import ApplianceModel, Mains, ScenarioEvent, ScenarioScript, synth_scenario
+from nilmedge.synth import (
+    ApplianceModel,
+    LabelTrack,
+    Mains,
+    ScenarioEvent,
+    ScenarioScript,
+    synth_scenario,
+)
 from nilmedge.train import Dataset, train_knn, train_rf
 
 MAINS = Mains()
@@ -424,6 +434,73 @@ class TestBlockBoundaries:
             assert [s[4] for s in got] == ["pending", "labeled", "invalid", "pending", "pending"]
 
 
+# --- the event core at the stream's edges ------------------------------------------
+
+# windows, {window: new level in W}, multi-mode statuses; each stream starts at 100 W
+EDGE_STREAMS = {
+    "event_before_window_20": (70, {5: 250.0, 40: 100.0}, ["pending", "labeled"]),
+    "pending_in_last_20": (70, {28: 250.0, 50: 100.0}, ["labeled", "pending"]),  # 50 + 20 == 70
+    "resolves_at_last_window": (70, {25: 250.0, 49: 100.0}, ["labeled", "labeled"]),
+    "clash_straddles_end": (70, {22: 250.0, 45: 100.0, 55: 175.0},
+                            ["labeled", "invalid", "pending"]),
+    "step_of_exactly_the_threshold": (70, {30: 105.0, 45: 200.0}, ["labeled"]),
+    "one_window": (1, {}, []),
+    "empty": (0, {}, []),
+}
+
+
+def step_stream(n_windows, steps):
+    """Unit voltage and a constant current per window, so a window's P is
+    exactly its level: 100 W, then each step's level from its window on."""
+    levels = np.full(n_windows, 100.0)
+    for w, level in sorted(steps.items()):
+        levels[w:] = level
+    return SampleStream(v=np.ones(1000 * n_windows), i=np.repeat(levels, 1000))
+
+
+def step_track(n_windows, steps):
+    toggles = {w: ((NAMES[k % 2], "on"),) for k, w in enumerate(sorted(steps))}
+    return LabelTrack(active=(frozenset(),) * n_windows, toggles=toggles)
+
+
+@pytest.mark.parametrize("case", list(EDGE_STREAMS))
+class TestStreamEdges:
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("model_name", ["rf", "knn_frequency_only"])
+    def test_classify_stream(self, classify_run, case, mode, model_name):
+        n_windows, steps, statuses = EDGE_STREAMS[case]
+        stream, model = step_stream(n_windows, steps), classify_run[1][model_name]
+        got = [(s.window_index, s.delta_p_w, s.direction, s.valid, s.status, s.label)
+               for s in classify_stream(stream, model, mode=mode)]
+        assert got == classify_stream_oracle(stream, model, mode)
+        assert [s[4] for s in got] == (statuses if mode == "multi" else ["labeled"] * len(statuses))
+
+    def test_delta_dataset(self, case):
+        n_windows, steps, statuses = EDGE_STREAMS[case]
+        stream, track = step_stream(n_windows, steps), step_track(n_windows, steps)
+        rows, labels = [], []
+        for j, (_, delta) in sorted(delta_oracle(stream).items()):
+            if delta is not None:
+                rows.append(delta)
+                labels.append(NAMES.index(track.toggles[j][0][0]))
+        got = outcome(lambda: delta_dataset(stream, track, class_names=NAMES))
+        assert_same_dataset(got, outcome(lambda: Dataset(x=np.array(rows), y=labels,
+                                                         class_names=NAMES)))
+        assert len(rows) == statuses.count("labeled")
+
+
+def test_nan_window_before_the_first_event_raises_at_that_window(classify_run):
+    steps = {30: 250.0}
+    stream = step_stream(70, steps)
+    stream.i[10_500] = np.nan
+    message = re.escape("non-finite power at window 10: 100.0 -> nan")
+    for mode in ("single", "multi"):
+        with pytest.raises(ValueError, match=message):
+            classify_stream(stream, classify_run[1]["rf"], mode=mode)
+    with pytest.raises(ValueError, match=message):
+        delta_dataset(stream, step_track(70, steps), class_names=NAMES)
+
+
 # --- golden outputs, hashed at the commit before block extraction ---------------------
 
 GOLDEN_OUTPUTS = {
@@ -489,6 +566,11 @@ def fft_rows(monkeypatch) -> list[int]:
     return rows
 
 
+def in_blocks(n_rows: int) -> list[int]:
+    """n_rows cut into EXTRACT_BLOCK-row extraction calls."""
+    return [min(EXTRACT_BLOCK, n_rows - lo) for lo in range(0, n_rows, EXTRACT_BLOCK)]
+
+
 @pytest.mark.parametrize("model_name", ["rf", "knn_frequency_only"])
 def test_multi_mode_transforms_six_rows_per_resolved_delta(multi5_run, monkeypatch, model_name):
     stream, _, deltas, models = multi5_run
@@ -496,7 +578,7 @@ def test_multi_mode_transforms_six_rows_per_resolved_delta(multi5_run, monkeypat
     labels = classify_stream(stream, models[model_name], mode="multi")
     labeled = [s for s in labels if s.status == "labeled"]
     assert 0 < len(labeled) == sum(delta is not None for _, delta in deltas.values())
-    assert rows == [6] * len(labeled)
+    assert rows == in_blocks(6 * len(labeled))
     assert sum(rows) < len(stream) // 1000 // 4
 
 
@@ -505,15 +587,16 @@ def test_single_mode_transforms_one_row_per_event(multi5_run, monkeypatch, model
     stream, _, _, models = multi5_run
     rows = fft_rows(monkeypatch)
     labels = classify_stream(stream, models[model_name], mode="single")
-    assert labels and rows == [1] * len(labels)
+    assert labels and rows == in_blocks(len(labels))
+    assert sum(rows) < len(stream) // 1000 // 4
 
 
 def test_delta_dataset_transforms_six_rows_per_delta(multi5_run, monkeypatch):
     stream, track, deltas, _ = multi5_run
     rows = fft_rows(monkeypatch)
     d = delta_dataset(stream, track, class_names=tuple(sorted(MULTI5_REGISTRY)))
-    assert rows == [6] * sum(delta is not None for _, delta in deltas.values())
-    assert d.n <= len(rows)
+    assert rows == in_blocks(6 * sum(delta is not None for _, delta in deltas.values()))
+    assert 0 < 6 * d.n <= sum(rows) < len(stream) // 1000 // 4
 
 
 def test_nan_in_a_window_no_delta_reads_still_raises(multi5_run):
@@ -532,6 +615,21 @@ def test_nan_in_a_window_no_delta_reads_still_raises(multi5_run):
             classify_stream(broken, models["rf"], mode=mode)
     with pytest.raises(ValueError, match=message):
         delta_dataset(broken, track, class_names=tuple(sorted(MULTI5_REGISTRY)))
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_classify_stream_makes_no_whole_stream_copy(multi5_run, mode):
+    # the core holds P per window and extracts EXTRACT_BLOCK rows at a time:
+    # 1.1-1.7 MB at peak here, where a copy of one channel is 5.3 MB
+    stream, _, _, models = multi5_run
+    classify_stream(stream, models["rf"], mode=mode)  # warm the caches first
+    tracemalloc.start()
+    try:
+        classify_stream(stream, models["rf"], mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stream.v.nbytes // 2
 
 
 # --- memory layout: a strided stream gives the bits of its contiguous copy ----------
