@@ -7,11 +7,8 @@ cancels the steady background and isolates the toggled load - with the
 pre-minus-post sign convention, a turn-on shows up negative.
 """
 
-import numpy as np
-
 from nilmedge.events import delta_feature, detect_event, event_guard
-from nilmedge.features import EXTRACT_BLOCK, extract_feature_matrix
-from nilmedge.signals import window_blocks
+from nilmedge.features import feature_matrix
 from nilmedge.synth import (
     ApplianceModel,
     Mains,
@@ -37,8 +34,7 @@ script = ScenarioScript(
 stream, track = synth_scenario(script, REGISTRY, seed=5)
 
 # one feature row per 100 ms window, row j = window j; column 0 is P
-features = np.vstack([extract_feature_matrix(v, i)
-                      for _, v, i in window_blocks(stream, EXTRACT_BLOCK)])
+features = feature_matrix(stream)
 events = []
 for j in range(1, len(features)):
     ev = detect_event(features[j - 1, 0], features[j, 0], threshold_w=5.0, window_index=j)

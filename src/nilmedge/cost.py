@@ -120,6 +120,7 @@ class CostProfile:
         for f in fields(self):
             if f.name not in ("name", "extraction", "model_coefficients"):
                 _check_number(f.name, getattr(self, f.name), positive=True)
+        validate_profile(self)
 
 
 def _check_number(where: str, value, positive: bool) -> None:
@@ -129,6 +130,18 @@ def _check_number(where: str, value, positive: bool) -> None:
     if isinstance(value, bool) or not finite or not (value > 0 if positive else value >= 0):
         sign = "positive" if positive else "non-negative"
         raise ValueError(f"{where} must be a finite {sign} number, got {value!r}")
+
+
+def validate_profile(profile: CostProfile) -> None:
+    """Consistency check on the measured table: the full-vector cycle count
+    must equal calibration + worst-case Q + unordered FFT (15 + 28 + 62)."""
+    t = profile.extraction
+    parts = t["raw_conv_vi"].cycles + t["q4"].cycles + t["fft_1024_unordered"].cycles
+    if abs(parts - t["full_vector"].cycles) > 1e-9:
+        raise ValueError(
+            f"profile {profile.name!r} breaks the full-vector decomposition: "
+            f"{parts} != {t['full_vector'].cycles} cycles"
+        )
 
 
 CORTEX_M4_PAPER = CostProfile(
@@ -147,21 +160,6 @@ CORTEX_M4_PAPER = CostProfile(
         "rf": ModelCostCoefficients(cycles_per_mac=3.6, fixed_overhead=520.0),
     },
 )
-
-
-def validate_profile(profile: CostProfile) -> None:
-    """Consistency check on the measured table: the full-vector cycle count
-    must equal calibration + worst-case Q + unordered FFT (15 + 28 + 62)."""
-    t = profile.extraction
-    parts = t["raw_conv_vi"].cycles + t["q4"].cycles + t["fft_1024_unordered"].cycles
-    if abs(parts - t["full_vector"].cycles) > 1e-9:
-        raise ValueError(
-            f"profile {profile.name!r} breaks the full-vector decomposition: "
-            f"{parts} != {t['full_vector'].cycles} cycles"
-        )
-
-
-validate_profile(CORTEX_M4_PAPER)
 
 
 # --- extraction --------------------------------------------------------------
@@ -416,9 +414,7 @@ def profile_from_json(text: str) -> CostProfile:
             raise ValueError(f"profile {key} must be a JSON object")
         args[key] = {row: record(**record_fields(record, cells, f"{key}.{row}"))
                      for row, cells in args[key].items()}
-    profile = CostProfile(**args)
-    validate_profile(profile)
-    return profile
+    return CostProfile(**args)
 
 
 def load_profile(name_or_path: str | Path) -> CostProfile:

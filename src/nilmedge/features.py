@@ -19,17 +19,18 @@ report magnitudes instead of (re, im) pairs; the default reproduces the
 The arithmetic works on blocks of windows. `extract_feature_matrix` maps
 (n, 1000) voltage and current rows to (n, len(layout)) features: three
 stacked row-by-row products for P, |S| and Q, one batched radix-2 FFT,
-then one fancy index into the cached bin list of the layout. Streams are
-cut into row blocks by `signals.window_blocks`, EXTRACT_BLOCK windows at a
-time. The event core takes only `real_power_matrix` (no |S|, Q or FFT)
-from each block, for the real-power track, and the full layout only for
-the rows a result reads (the six windows of each differential vector, or
-the one window of each single-mode label), gathered EXTRACT_BLOCK rows per
-call. `window_dataset` and `feature_matrix`, the whole-stream matrix that
-`nilmedge extract` writes, extract whole blocks; `extract_features` is the
-one-row call. A row comes out bit for bit the same in any block, with any
-rows beside it and in any memory layout: blocks are made C-contiguous
-first, so each product of a row is one BLAS dot of two contiguous
+then one fancy index into the cached bin list of the layout.
+`extract_features` is its one-row call. A stream reaches it through one
+loop: `window_features` takes the (windows, 1000) row views of
+`signals.window_rows` and a list of windows, and gathers those rows
+EXTRACT_BLOCK at a time into one call each. `feature_matrix` lists every
+window, `pipeline.window_dataset` the steady ones, and the event core the
+ones its results read. `real_power_matrix` is the P column alone, taken
+straight from the row views, for the event core's real-power track. A row
+comes out bit for bit the same in any block, with any rows beside it and
+in any memory layout: the rows of each power product are made
+C-contiguous EXTRACT_BLOCK at a time (so a strided stream is never copied
+whole), so each product of a row is one BLAS dot of two contiguous
 1000-sample rows (a strided dot sums in another order); the butterflies
 are elementwise; and magnitudes are np.hypot of the real and imaginary
 parts, which equals abs() of one complex scalar where np.abs of a complex
@@ -44,14 +45,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream, SampleWindow, window_blocks
+from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream, SampleWindow, window_rows
 
 FFT_SIZE = 1024
 HARMONIC_SCALE = 2.0 / WINDOW_SAMPLES
 DEFAULT_HARMONIC_ORDERS = tuple(range(1, 100, 2))  # 1, 3, ..., 99
-# windows per extract_feature_matrix call on a stream: host time per window
-# fell from about 225 us one at a time to about 60 us at 16-32 and rose
-# again at 64, where the complex working set no longer stays in cache
+# windows per extract_feature_matrix call on a stream, and rows made
+# contiguous at a time for a power product: host time per window fell from
+# about 225 us one at a time to about 60 us at 16-32 and rose again at 64,
+# where the complex working set no longer stays in cache
 EXTRACT_BLOCK = 32
 
 
@@ -175,6 +177,11 @@ class FeatureLayout:
     time_domain controls the leading [P, |S|, Q] triple; harmonic_orders are
     the odd mains-harmonic orders reported afterwards, as (re, im) pairs or,
     with complex_pairs=False, as magnitudes.
+
+    A value of the wrong type raises ValueError naming its key rather than
+    being coerced, so every layout writes a file it can read back: the flags
+    must be bools (1 is not True), and each order an integer, held as a
+    Python int (1.0 and True are not order 1).
     """
 
     time_domain: bool = True
@@ -182,8 +189,15 @@ class FeatureLayout:
     complex_pairs: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "harmonic_orders", tuple(self.harmonic_orders))
+        for key in ("time_domain", "complex_pairs"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"layout {key!r} must be a boolean, got {getattr(self, key)!r}")
         orders = self.harmonic_orders
+        if not isinstance(orders, (list, tuple, range, np.ndarray)) or not all(
+                isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in orders):
+            raise ValueError(f"layout 'harmonic_orders' must be a list of integers, got {orders!r}")
+        orders = tuple(int(k) for k in orders)
+        object.__setattr__(self, "harmonic_orders", orders)
         if any(k % 2 == 0 or k < 1 for k in orders):
             raise ValueError("harmonic orders must be odd and >= 1")
         if list(orders) != sorted(set(orders)):
@@ -231,20 +245,9 @@ class FeatureLayout:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureLayout":
-        """Inverse of to_dict. A value of the wrong JSON type raises
-        ValueError naming its key rather than being coerced: "false" is not
-        False, and 1.9 is not order 1."""
-        for key in ("time_domain", "complex_pairs"):
-            if not isinstance(d[key], bool):
-                raise ValueError(f"layout {key!r} must be a JSON boolean, got {d[key]!r}")
-        orders = d["harmonic_orders"]
-        if not isinstance(orders, list) or any(type(k) is not int for k in orders):
-            raise ValueError(f"layout 'harmonic_orders' must be a list of integers, got {orders!r}")
-        return cls(
-            time_domain=d["time_domain"],
-            harmonic_orders=tuple(orders),
-            complex_pairs=d["complex_pairs"],
-        )
+        """Inverse of to_dict; the constructor rejects a value of the wrong
+        JSON type, naming its key."""
+        return cls(d["time_domain"], d["harmonic_orders"], d["complex_pairs"])
 
 
 DEFAULT_LAYOUT = FeatureLayout()
@@ -270,9 +273,10 @@ class FeatureVector:
 # --- feature computations ----------------------------------------------------
 
 def _blocks(v, i) -> tuple[np.ndarray, np.ndarray]:
-    """Two (n, 1000) sample blocks as C-contiguous float64 arrays."""
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    i = np.ascontiguousarray(i, dtype=np.float64)
+    """Two (n, 1000) sample blocks as float64 arrays, views where they
+    already are."""
+    v = np.asarray(v, dtype=np.float64)
+    i = np.asarray(i, dtype=np.float64)
     if v.ndim != 2 or v.shape != i.shape or v.shape[1] != WINDOW_SAMPLES:
         raise ValueError(
             f"expected two (n, {WINDOW_SAMPLES}) sample blocks, got {v.shape} and {i.shape}"
@@ -281,16 +285,22 @@ def _blocks(v, i) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mean_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """mean(a[r] * b[r]) for every row r of two C-contiguous (n, 1000) blocks.
+    """mean(a[r] * b[r]) for every row r of two (n, 1000) blocks.
 
-    One stacked matmul of 1x1000 by 1000x1 items: numpy hands each item to
-    the BLAS dot that np.dot of the two rows calls, so a row keeps the bits
-    of its scalar definition whatever else the block holds."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0] / WINDOW_SAMPLES
+    One stacked matmul of 1x1000 by 1000x1 items per EXTRACT_BLOCK rows,
+    made C-contiguous first (a strided stream is never copied whole):
+    numpy hands each item to the BLAS dot that np.dot of the two rows
+    calls, so a row keeps the bits of its scalar definition whatever else
+    the block holds."""
+    out = np.empty(len(a))
+    for lo in range(0, len(a), EXTRACT_BLOCK):
+        x, y = (np.ascontiguousarray(m[lo:lo + EXTRACT_BLOCK]) for m in (a, b))
+        out[lo:lo + EXTRACT_BLOCK] = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    return out / WINDOW_SAMPLES
 
 
 def _powers(v: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """(n, 3) rows of [P, |S|, Q] for C-contiguous (n, 1000) sample rows.
+    """(n, 3) rows of [P, |S|, Q] for (n, 1000) sample rows.
 
     P is what real_power_matrix returns; |S| is the product of the two RMS
     values; the rest is elementwise."""
@@ -302,7 +312,9 @@ def _powers(v: np.ndarray, i: np.ndarray) -> np.ndarray:
 def real_power_matrix(v, i) -> np.ndarray:
     """Real power P of each row of (n, 1000) voltage and current blocks:
     column 0 of extract_feature_matrix with a time-domain layout, bit for
-    bit, without computing |S|, Q or harmonics."""
+    bit, without computing |S|, Q or harmonics. The rows are made
+    contiguous EXTRACT_BLOCK at a time, so the row views of a strided
+    stream are never copied whole."""
     return _mean_products(*_blocks(v, i))
 
 
@@ -371,13 +383,27 @@ def extract_features(w: SampleWindow, layout: FeatureLayout = DEFAULT_LAYOUT) ->
     return FeatureVector(values=values, layout=layout, window_index=w.index)
 
 
+def window_features(v, i, windows: Sequence[int],
+                    layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
+    """Feature rows of the listed windows, in list order, from (n, 1000)
+    voltage and current rows such as window_rows gives: the rows are
+    gathered EXTRACT_BLOCK at a time, one extract_feature_matrix call each.
+    A window outside 0 .. n-1 raises ValueError; numpy would wrap a
+    negative one."""
+    if len(windows) and not 0 <= min(windows) <= max(windows) < len(v):
+        raise ValueError(f"windows {min(windows)} .. {max(windows)} are not all in 0 .. {len(v) - 1}")
+    out = np.empty((len(windows), len(layout)))
+    for lo in range(0, len(windows), EXTRACT_BLOCK):
+        k = windows[lo:lo + EXTRACT_BLOCK]
+        out[lo:lo + len(k)] = extract_feature_matrix(v[k], i[k], layout)
+    return out
+
+
 def feature_matrix(stream: SampleStream, layout: FeatureLayout = DEFAULT_LAYOUT) -> np.ndarray:
     """(windows, len(layout)) feature rows of a 10 kHz stream, row j from
-    window j: window_blocks EXTRACT_BLOCK windows at a time, one
-    extract_feature_matrix call each."""
-    blocks = [extract_feature_matrix(v, i, layout)
-              for _, v, i in window_blocks(stream, EXTRACT_BLOCK)]
-    return np.vstack(blocks or [np.empty((0, len(layout)))])
+    window j."""
+    v, i = window_rows(stream)
+    return window_features(v, i, range(len(v)), layout)
 
 
 def write_features_csv(path, matrix: np.ndarray, window_indices: Sequence[int],

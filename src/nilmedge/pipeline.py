@@ -1,29 +1,30 @@
 """End-to-end plumbing: turning scenario streams into labeled datasets and
 running the online window -> features -> event -> classify chain.
 
+Every entry reads its stream once, as the two (windows, 1000) row views
+that signals.window_rows gives, and extracts features only through
+features.window_features, which gathers the listed windows' rows a few at
+a time: no entry copies the whole stream.
+
 One event core serves both the offline differential-vector dataset and the
-online classifier. It makes a few batched passes over the stream and
-returns one (event, valid, vector) per result, in window order. It reads
-the stream as consecutive (32, 1000) row blocks from signals.window_blocks
-(features.EXTRACT_BLOCK windows, 3.2 s of signal), as views: no pass copies
-the whole stream or holds more than the real power of every window. The
-passes are: P of each block (features.real_power_matrix: no |S|, Q or FFT);
+online classifier. It makes a few batched passes over the row views and
+returns one (event, valid, vector) per result, in window order. The passes
+are: P of every window (features.real_power_matrix: no |S|, Q or FFT);
 detect_event on the windows whose power step does not stay within the
-threshold; event_guard once on all events; then the harmonic FFT on only
-the windows the results read, EXTRACT_BLOCK rows per extract_feature_matrix
-call, and one delta_feature_from_windows call on every differential
-vector's stacked window triples. Single-appliance mode labels each event
-with its own window's full vector. Otherwise an event at window j is
-resolved iff window j+20 exists: the +-20-window guard decides it and, if
-it is valid and window j-20 exists, its differential vector comes from
-windows j-20, j-10, j-1, j+1, j+10 and j+20. Unresolved events come out
-valid with no vector. A window's features do not depend on its block, on
-which other windows are extracted with it, or on the stream's memory
-layout, and the delta arithmetic is elementwise, so every result has the
-bits it would have alone. Classification stays one row per event: a
-batched MLP forward or SVM kernel over many rows can differ from one-row
-calls in the last bits. window_dataset reads the same blocks and extracts
-only their steady rows. No path builds a SampleWindow.
+threshold; event_guard once on all events; then one window_features call
+on just the windows the results read, and one delta_feature_from_windows
+call on every differential vector's stacked window triples. Single-appliance
+mode labels each event with its own window's full vector. Otherwise an
+event at window j is resolved iff window j+20 exists: the +-20-window
+guard decides it and, if it is valid and window j-20 exists, its
+differential vector comes from windows j-20, j-10, j-1, j+1, j+10 and
+j+20. Unresolved events come out valid with no vector. A window's features
+do not depend on which other windows are extracted with it or on the
+stream's memory layout, and the delta arithmetic is elementwise, so every
+result has the bits it would have alone. Classification stays one row per
+event: a batched MLP forward or SVM kernel over many rows can differ from
+one-row calls in the last bits. window_dataset extracts the steady windows
+the same way. No path builds a SampleWindow.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ from .events import (
 )
 from .features import (
     DEFAULT_LAYOUT,
-    EXTRACT_BLOCK,
     FeatureLayout,
-    extract_feature_matrix,
     extract_features,  # noqa: F401 - perfbench/spans.py wraps it at this name
     real_power_matrix,
+    window_features,
 )
 from .models.base import BaseModel, classify_matrix
-from .signals import SampleStream, window_blocks
+from .signals import SampleStream, window_rows
 from .signals import window_stream  # noqa: F401 - perfbench/spans.py wraps it at this name
 from .synth import LabelTrack
 from .train.dataset import Dataset
@@ -65,37 +65,37 @@ def _event_core(
     """(event, valid, x) per result, in window order, from a few passes over
     the stream.
 
-    1. P of every window, one real_power_matrix call per window_blocks
-       block; the blocks are views into the stream.
+    1. P of every window, one real_power_matrix call on window_rows' views
+       of the stream.
     2. detect_event on each candidate window w only: those where
        |P[w] - P[w-1]| <= threshold_w fails, every non-finite pair among
        them. It builds the events and raises for the first non-finite one.
     3. Multi mode runs event_guard once on all events. An event at window
        j is resolved iff window j+20 exists: the guard and the delta both
        need every window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN.
-    4. The windows the results read are extracted in EXTRACT_BLOCK-row
-       calls, and one delta_feature_from_windows call averages every
-       event's stacked triples. Its arithmetic is elementwise, so each
-       vector has the bits it has alone.
+    4. One window_features call extracts the windows the results read,
+       and one delta_feature_from_windows call averages every event's
+       stacked triples. Its arithmetic is elementwise, so each vector has
+       the bits it has alone.
 
     With single=True every event is valid and x is its own window's full
     vector in the layout. Otherwise x is the event's differential vector,
     or None when the guard rejects it or the stream has no window j-20; an
     unresolved event comes out as (event, True, None). No samples are
-    copied beyond one extraction block. Callers classify the vectors one
-    row per event, since a batched MLP forward or SVM kernel can change a
-    row's last bits. The threshold is checked before the first window is
-    read."""
+    copied beyond the few rows that real_power_matrix and window_features
+    make contiguous at a time. Callers classify the vectors one row per
+    event, since a batched MLP forward or SVM kernel can change a row's
+    last bits. The threshold is checked before the first window is read."""
     check_threshold(threshold_w)
-    blocks = [(v, i) for _, v, i in window_blocks(stream, EXTRACT_BLOCK)]
+    v, i = window_rows(stream)
     # detection always runs on real power, whatever the layout holds
-    p = np.concatenate([real_power_matrix(v, i) for v, i in blocks] or [np.empty(0)])
+    p = real_power_matrix(v, i)
     p_list = p.tolist()
     steps = np.flatnonzero(~(np.abs(np.diff(p)) <= threshold_w)) + 1
     events = [detect_event(p_list[w - 1], p_list[w], threshold_w, window_index=w)
               for w in steps.tolist()]
     if single:
-        x = _extract_windows(blocks, [ev.window_index for ev in events], layout)
+        x = window_features(v, i, [ev.window_index for ev in events], layout)
         return [(ev, True, row) for ev, row in zip(events, x)]
     offsets = DELTA_OFFSETS_PRE + DELTA_OFFSETS_POST
     results, windows = [], []
@@ -106,22 +106,10 @@ def _event_core(
         results.append((ev, valid or not resolved, reads))
         if reads:
             windows += [j + off for off in offsets]
-    rows = _extract_windows(blocks, windows, layout)
+    rows = window_features(v, i, windows, layout)
     triples = [rows[k::len(offsets)] for k in range(len(offsets))]
     deltas = iter(delta_feature_from_windows(triples[:3], triples[3:]))
     return [(ev, valid, next(deltas) if reads else None) for ev, valid, reads in results]
-
-
-def _extract_windows(blocks, windows: list[int], layout: FeatureLayout) -> np.ndarray:
-    """The given windows' rows in the layout, picked from the blocks and
-    extracted EXTRACT_BLOCK rows per call."""
-    out = np.empty((len(windows), len(layout)))
-    for lo in range(0, len(windows), EXTRACT_BLOCK):
-        picked = [blocks[w // EXTRACT_BLOCK] + (w % EXTRACT_BLOCK,)
-                  for w in windows[lo:lo + EXTRACT_BLOCK]]
-        out[lo:lo + len(picked)] = extract_feature_matrix(
-            np.stack([v[r] for v, _, r in picked]), np.stack([i[r] for _, i, r in picked]), layout)
-    return out
 
 
 def window_dataset(
@@ -136,16 +124,12 @@ def window_dataset(
         seen = sorted({app for s in track.active for app in s})
         class_names = tuple(seen)
     index_of = {name: k for k, name in enumerate(class_names)}
-    rows, labels = [], []
-    for first, v, i in window_blocks(stream, EXTRACT_BLOCK):
-        steady = [j for j in range(first, first + len(v)) if j < len(track)
-                  and j not in track.toggles and len(track.active[j]) == 1]
-        if steady:
-            k = np.subtract(steady, first)
-            rows.append(extract_feature_matrix(v[k], i[k], layout))
-            labels += [index_of[app] for j in steady for app in track.active[j]]
-    return _dataset(rows, labels, class_names, layout, "synthetic-windows",
-                    "steady single-appliance windows")
+    v, i = window_rows(stream)
+    steady = [j for j in range(min(len(v), len(track)))
+              if j not in track.toggles and len(track.active[j]) == 1]
+    labels = [index_of[app] for j in steady for app in track.active[j]]
+    return _dataset(window_features(v, i, steady, layout), labels, class_names, layout,
+                    "synthetic-windows", "steady single-appliance windows")
 
 
 def delta_dataset(
@@ -172,11 +156,11 @@ def delta_dataset(
     return _dataset(rows, labels, class_names, layout, "synthetic-delta", "valid labeled events")
 
 
-def _dataset(rows, labels, class_names, layout, provenance, what: str) -> Dataset:
-    if not rows:
+def _dataset(x, labels, class_names, layout, provenance, what: str) -> Dataset:
+    if not labels:
         raise ValueError(f"no {what} found in the scenario")
     return Dataset(
-        x=np.vstack(rows),
+        x=x,
         y=np.array(labels, dtype=np.int64),
         class_names=class_names,
         layout=layout,

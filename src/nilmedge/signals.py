@@ -5,11 +5,11 @@ The numeric contract mirrors a metering front end that digitizes both channels
 with a 14-bit converter at 20 kHz, averages sample pairs down to 10 kHz, and
 hands the DSP stage non-overlapping frames of 1000 samples per channel.
 Raw codes are held as the converter delivers them, 2 bytes each (int16), and
-calibrated slice by slice straight into the float output, with no code table
-and no whole-array intermediate.
-`window_blocks` hands those frames over as (n, 1000) row views of the
-stream, the form the feature and event stages read; `window_stream` is its
-one-window form, one `SampleWindow` per frame.
+calibrated slice by slice straight into the float output.
+`window_rows` is the one windowing rule: it hands a stream's frames over as
+two (windows, 1000) row views of the stream, the form the feature and event
+stages read; `window_stream` is its one-window form, one `SampleWindow` per
+frame.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def calibrate_raw(block: RawSampleBlock, coeffs: CalibrationCoefficients) -> Sam
     Every sample is float(code) * gain + offset, rounded after the product
     and after the sum, as the scalar arithmetic rounds it. The 2-byte codes
     are calibrated in 16,384-code slices written straight into the float64
-    output: no code table, and nothing the size of the stream but the output."""
+    output, so nothing the size of the stream is allocated but the output."""
     v = _calibrated(block.codes_v, coeffs.gain_v, coeffs.offset_v)
     i = _calibrated(block.codes_i, coeffs.gain_i, coeffs.offset_i)
     return SampleStream(v=v, i=i, rate_hz=ACQUISITION_RATE_HZ)
@@ -190,23 +190,20 @@ def decimate_stream(stream: SampleStream) -> SampleStream:
     )
 
 
-def window_blocks(stream: SampleStream, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Cut a 10 kHz stream into consecutive blocks of up to n 1000-sample windows.
+def window_rows(stream: SampleStream) -> tuple[np.ndarray, np.ndarray]:
+    """The whole 1000-sample windows of a 10 kHz stream as (windows, 1000)
+    voltage and current views of the stream, row j holding window j.
 
-    Yields (index of the block's first window, v, i), where v and i are
-    (rows, 1000) views of the stream; every block but the last holds n rows.
-    Windows start at stream sample 0; a trailing partial window is discarded.
-    An empty stream yields nothing. The rate is checked when iteration starts.
-    """
+    Windows start at stream sample 0; a trailing partial window is
+    discarded, so an empty or sub-window stream gives (0, 1000) views."""
     if stream.rate_hz != SAMPLE_RATE_HZ:
         raise ValueError(f"windowing expects a {SAMPLE_RATE_HZ} Hz stream, got {stream.rate_hz} Hz")
-    n_windows = len(stream) // WINDOW_SAMPLES
-    v = stream.v[: n_windows * WINDOW_SAMPLES].reshape(n_windows, WINDOW_SAMPLES)
-    i = stream.i[: n_windows * WINDOW_SAMPLES].reshape(n_windows, WINDOW_SAMPLES)
-    for lo in range(0, n_windows, n):
-        yield lo, v[lo : lo + n], i[lo : lo + n]
+    n = len(stream) // WINDOW_SAMPLES * WINDOW_SAMPLES
+    return stream.v[:n].reshape(-1, WINDOW_SAMPLES), stream.i[:n].reshape(-1, WINDOW_SAMPLES)
 
 
 def window_stream(stream: SampleStream) -> Iterator[SampleWindow]:
-    """window_blocks one window at a time, each as a SampleWindow."""
-    return (SampleWindow(v=v[0], i=i[0], index=j) for j, v, i in window_blocks(stream, 1))
+    """window_rows one window at a time, each as a SampleWindow. The rate is
+    checked when iteration starts."""
+    for j, (v, i) in enumerate(zip(*window_rows(stream))):
+        yield SampleWindow(v=v, i=i, index=j)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,14 @@ class TestReportsAndProfiles:
         with pytest.raises(ValueError):
             validate_profile(CostProfile(name="broken", extraction=broken_rows,
                                          model_coefficients=PROFILE.model_coefficients))
+
+    def test_unbalanced_profile_rejected_when_built(self):
+        # a profile that profile_from_json would reject cannot be built either
+        rows = dict(PROFILE.extraction)
+        rows["q4"] = replace(rows["q4"], cycles=29_000)
+        with pytest.raises(ValueError, match="full-vector decomposition"):
+            CostProfile(name="unbalanced", extraction=rows,
+                        model_coefficients=PROFILE.model_coefficients)
 
     def test_missing_row_rejected(self):
         rows = dict(PROFILE.extraction)

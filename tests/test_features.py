@@ -28,9 +28,10 @@ from nilmedge.features import (
     real_power,
     real_power_matrix,
     reactive_power,
+    window_features,
     write_features_csv,
 )
-from nilmedge.signals import SampleStream, SampleWindow
+from nilmedge.signals import SampleStream, SampleWindow, window_rows, window_stream
 
 FS = 10000
 
@@ -402,3 +403,39 @@ def test_feature_matrix_over_block_boundaries(rng, n_windows, name):
     matrix = feature_matrix(stream, layout)
     assert len(matrix) == n_windows
     assert_same_bits(matrix, stream_features_oracle(stream, layout))
+
+
+def stride_two(stream):
+    """The stream with each channel a stride-2 view into one (n, 2) array."""
+    pairs = np.column_stack([stream.v, stream.i])
+    return SampleStream(v=pairs[:, 0], i=pairs[:, 1])
+
+
+class TestWindowFeatures:
+    @pytest.mark.parametrize("n_windows", BLOCK_EDGE_WINDOWS)
+    @pytest.mark.parametrize("name", ["default", "sparse_magnitude"])
+    def test_rows_equal_extract_features_in_any_order(self, rng, n_windows, name):
+        layout = BLOCK_LAYOUTS[name]
+        samples = 1000 * n_windows + 500
+        stream = SampleStream(v=rng.normal(size=samples), i=rng.normal(size=samples))
+        listed = [*rng.permutation(n_windows).tolist(), *range(n_windows - 1, -1, -3)]  # repeats
+        windows = list(window_stream(stream))
+        expected = np.array([extract_features(windows[w], layout).values for w in listed])
+        for s in (stream, stride_two(stream)):
+            got = window_features(*window_rows(s), listed, layout)
+            assert_same_bits(got, expected.reshape(len(listed), len(layout)))
+
+    def test_windows_outside_the_rows_raise(self, rng):
+        v, i = rng.normal(size=(2, 3, 1000))
+        assert window_features(v, i, []).shape == (0, 103)
+        for w, span in ((-1, "-1 .. 0"), (3, "0 .. 3")):  # numpy would wrap -1 to the last row
+            with pytest.raises(ValueError, match=f"windows {span} are not all in 0 .. 2"):
+                window_features(v, i, [0, w])
+
+    def test_real_power_matrix_of_a_strided_stream(self, rng):
+        samples = 1000 * BLOCK_EDGE_WINDOWS[-1]
+        stream = SampleStream(v=rng.normal(size=samples), i=rng.normal(size=samples))
+        v, i = window_rows(stride_two(stream))
+        assert not v.flags.c_contiguous
+        assert_same_bits(real_power_matrix(v, i),
+                         real_power_matrix(np.ascontiguousarray(v), np.ascontiguousarray(i)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import blob_dataset, random_knn, random_mlp, random_rf, random_svm
+from nilmedge.features import FeatureLayout
 from nilmedge.models.base import Scaler
 from nilmedge.models.forest import TreeNodes
 from nilmedge.models.io import (
@@ -25,6 +26,7 @@ from nilmedge.models.io import (
     to_json,
 )
 from nilmedge.train import train_model
+from nilmedge.train.dataset import load_dataset, save_dataset
 
 
 def all_kinds(rng):
@@ -143,6 +145,28 @@ def test_layout_values_of_the_wrong_type_are_integrity_errors(rng, key, value):
     doc["meta"]["layout"] = layout
     with pytest.raises(ModelIntegrityError, match=key):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("harmonic_orders", (1.0, 3.0)), ("harmonic_orders", (True,)), ("harmonic_orders", "13"),
+    ("harmonic_orders", 13), ("time_domain", 1), ("complex_pairs", 0),
+])
+def test_layouts_that_would_not_read_back_raise_at_construction(key, value):
+    with pytest.raises(ValueError, match=key):
+        FeatureLayout(**{key: value})
+
+
+def test_numpy_integer_orders_round_trip_as_python_ints(rng, tmp_path):
+    layout = FeatureLayout(time_domain=False, harmonic_orders=np.arange(1, 10, 2),
+                           complex_pairs=False)
+    assert layout.harmonic_orders == (1, 3, 5, 7, 9)
+    assert {type(k) for k in layout.harmonic_orders} == {int}
+    assert layout.names == ("H1_mag", "H3_mag", "H5_mag", "H7_mag", "H9_mag")
+    m = replace(random_knn(rng), layout=layout)
+    assert deserialize(serialize(m)).layout == layout
+    assert from_json(to_json(m)).layout == layout
+    save_dataset(replace(blob_dataset(n_features=5), layout=layout), tmp_path / "d.csv")
+    assert load_dataset(tmp_path / "d.csv").layout == layout
 
 
 @pytest.mark.parametrize("indices", [[1, 1], [0, -1], [0, 103]])

@@ -34,7 +34,7 @@ from nilmedge.pipeline import (
     write_stream_labels_csv,
 )
 from nilmedge.scenarios import MULTI5_REGISTRY, overlapping_script
-from nilmedge.signals import SampleStream, SampleWindow, window_blocks, window_stream
+from nilmedge.signals import SampleStream, SampleWindow, window_rows, window_stream
 from nilmedge.synth import (
     ApplianceModel,
     LabelTrack,
@@ -165,7 +165,7 @@ class TestDeltaDataset:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_delta_feature_over_the_stream_matrix_equals_core_deltas(self, seed):
         stream, _ = golden_multi5(seed)
-        _, v, i = next(window_blocks(stream, len(stream) // 1000))
+        v, i = window_rows(stream)
         features = extract_feature_matrix(v, i)
         deltas = [(ev.window_index, delta)
                   for ev, _, delta in _event_core(stream, DEFAULT_LAYOUT, 5.0) if delta is not None]

@@ -13,7 +13,7 @@ from nilmedge.signals import (
     decimate_average,
     decimate_stream,
     default_calibration,
-    window_blocks,
+    window_rows,
     window_stream,
 )
 
@@ -214,27 +214,29 @@ class TestWindowing:
 
 
 class TestWindowBlocks:
+    """window_rows: a stream's whole windows as one (windows, 1000) block of
+    row views per channel."""
+
     @pytest.mark.parametrize("n_samples", [0, 999, 1000, 1500, 31_000, 32_000, 33_500])
     def test_rows_are_window_stream_as_views_of_the_stream(self, rng, n_samples):
         s = SampleStream(v=rng.normal(size=n_samples), i=rng.normal(size=n_samples))
         windows = list(window_stream(s))
-        blocks = list(window_blocks(s, 32))
-        assert [first for first, _, _ in blocks] == list(range(0, len(windows), 32))
-        assert [len(v) for _, v, _ in blocks] == [min(32, len(windows) - k)
-                                                  for k in range(0, len(windows), 32)]
-        rows = [(first + k, v[k], i[k]) for first, v, i in blocks for k in range(len(v))]
-        assert len(rows) == len(windows) == n_samples // 1000
-        for w, (j, v, i) in zip(windows, rows):
+        v, i = window_rows(s)
+        assert v.shape == i.shape == (len(windows), 1000) == (n_samples // 1000, 1000)
+        for j, w in enumerate(windows):
             lo = 1000 * j
             assert w.index == j
-            assert v.tobytes() == w.v.tobytes() == s.v[lo : lo + 1000].tobytes()
-            assert i.tobytes() == w.i.tobytes() == s.i[lo : lo + 1000].tobytes()
-        for _, v, i in blocks:
-            assert v.shape == i.shape == (len(v), 1000)
+            assert v[j].tobytes() == w.v.tobytes() == s.v[lo : lo + 1000].tobytes()
+            assert i[j].tobytes() == w.i.tobytes() == s.i[lo : lo + 1000].tobytes()
+        if len(v):
             assert np.shares_memory(v, s.v) and np.shares_memory(i, s.i)
 
     def test_wrong_rate_raises_once_iterated(self):
+        # window_rows checks the rate when called, window_stream when
+        # iteration starts
         s = SampleStream(v=np.zeros(2000), i=np.zeros(2000), rate_hz=20000)
-        blocks = window_blocks(s, 32)
         with pytest.raises(ValueError, match="10000 Hz"):
-            next(blocks)
+            window_rows(s)
+        windows = window_stream(s)
+        with pytest.raises(ValueError, match="10000 Hz"):
+            next(windows)

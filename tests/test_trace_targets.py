@@ -107,8 +107,8 @@ def test_silent_targets_and_window_count():
       TreeNodes.route_matrix.
 
     The tracer counts windows by wrapping pipeline.window_stream, which no
-    entry calls: the entries read signals.window_blocks, so the benchmark's
-    signals.windows reads 0 until perfbench counts the blocks instead."""
+    entry calls: the entries read signals.window_rows, so the benchmark's
+    signals.windows reads 0 until perfbench counts its rows instead."""
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
