@@ -5,7 +5,14 @@ The numeric contract mirrors a metering front end that digitizes both channels
 with a 14-bit converter at 20 kHz, averages sample pairs down to 10 kHz, and
 hands the DSP stage non-overlapping frames of 1000 samples per channel.
 Raw codes are held as the converter delivers them, 2 bytes each (int16), and
-calibrated slice by slice straight into the float output.
+calibrated slice by slice straight into the float output; decimation also
+works in cache-sized slices, adding and halving each slice of pairs while it
+is still in cache. Both steps treat the two channels apart: the voltage
+channel runs on a short-lived worker thread while the calling thread runs
+the current channel (numpy releases the GIL inside each slice's
+arithmetic), and the worker is joined before the call returns, so no
+thread outlives it. Every output bit is that of the serial whole-array
+arithmetic.
 `window_rows` is the one windowing rule: it hands a stream's frames over as
 two (windows, 1000) row views of the stream, the form the feature and event
 stages read; `window_stream` is its one-window form, one `SampleWindow` per
@@ -14,8 +21,9 @@ frame.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -147,13 +155,44 @@ def calibrate_raw(block: RawSampleBlock, coeffs: CalibrationCoefficients) -> Sam
     Every sample is float(code) * gain + offset, rounded after the product
     and after the sum, as the scalar arithmetic rounds it. The 2-byte codes
     are calibrated in 16,384-code slices written straight into the float64
-    output, so nothing the size of the stream is allocated but the output."""
-    v = _calibrated(block.codes_v, coeffs.gain_v, coeffs.offset_v)
-    i = _calibrated(block.codes_i, coeffs.gain_i, coeffs.offset_i)
+    output, so nothing the size of the stream is allocated but the output.
+    The two channels run on two threads (`_per_channel`)."""
+    v, i = _per_channel(
+        lambda: _calibrated(block.codes_v, coeffs.gain_v, coeffs.offset_v),
+        lambda: _calibrated(block.codes_i, coeffs.gain_i, coeffs.offset_i),
+    )
     return SampleStream(v=v, i=i, rate_hz=ACQUISITION_RATE_HZ)
 
 
-_CALIBRATE_BLOCK = 16_384  # codes per slice: 32 KiB in, 128 KiB out
+_CALIBRATE_BLOCK = 16_384  # codes or pairs per slice: 128 KiB out
+
+
+def _per_channel(voltage: Callable[[], np.ndarray], current: Callable[[], np.ndarray]):
+    """(voltage(), current()): voltage() runs on a worker thread while this
+    thread runs current(). The worker runs under the caller's numpy error
+    settings (`np.errstate` is per thread on numpy 1.x and per context on
+    2.x, and a new thread starts with neither), and it is joined before this
+    returns or raises. When both fail, voltage's error is raised, as in
+    serial order."""
+    errors, errcall = np.geterr(), np.geterrcall()
+    done: dict = {}
+
+    def run_voltage():
+        try:
+            with np.errstate(call=errcall, **errors):
+                done["v"] = voltage()
+        except BaseException as exc:  # raised again in the caller below
+            done["error"] = exc
+
+    worker = threading.Thread(target=run_voltage)
+    worker.start()
+    try:
+        i = current()
+    finally:
+        worker.join()
+        if "error" in done:
+            raise done.pop("error")
+    return done["v"], i
 
 
 def _calibrated(codes: np.ndarray, gain: float, offset: float) -> np.ndarray:
@@ -172,22 +211,28 @@ def decimate_average(samples: np.ndarray) -> np.ndarray:
     """Average consecutive sample pairs: out[k] = (in[2k] + in[2k+1]) / 2.
 
     Halves both the length and the rate. The input length must be even; the
-    caller re-buffers odd tails.
+    caller re-buffers odd tails. Each 16,384-pair slice is added straight
+    into the output and halved there while it is still in cache, one sum
+    and one division per sample as in the whole-array formula, so nothing
+    the size of the input is allocated but the output.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     if samples.size % 2 != 0:
         raise ValueError(f"decimation needs an even sample count, got {samples.size}")
-    pairs = samples.reshape(-1, 2)
-    return (pairs[:, 0] + pairs[:, 1]) / 2.0
+    out = np.empty(samples.size // 2)
+    for lo in range(0, out.size, _CALIBRATE_BLOCK):
+        seg = out[lo : lo + _CALIBRATE_BLOCK]
+        pairs = samples[2 * lo : 2 * (lo + seg.size)]
+        np.add(pairs[0::2], pairs[1::2], out=seg)
+        seg /= 2.0
+    return out
 
 
 def decimate_stream(stream: SampleStream) -> SampleStream:
-    """Pair-average both channels of a stream, e.g. 20 kHz -> 10 kHz."""
-    return SampleStream(
-        v=decimate_average(stream.v),
-        i=decimate_average(stream.i),
-        rate_hz=stream.rate_hz // 2,
-    )
+    """Pair-average both channels of a stream, e.g. 20 kHz -> 10 kHz, the
+    two channels on two threads (`_per_channel`)."""
+    v, i = _per_channel(lambda: decimate_average(stream.v), lambda: decimate_average(stream.i))
+    return SampleStream(v=v, i=i, rate_hz=stream.rate_hz // 2)
 
 
 def window_rows(stream: SampleStream) -> tuple[np.ndarray, np.ndarray]:

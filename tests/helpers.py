@@ -420,6 +420,19 @@ def best_split_oracle(x, y, feature_ids, n_classes):
     return best
 
 
+# --- whole-array acquisition oracles ----------------------------------------------
+
+def calibrate_oracle(codes, gain: float, offset: float) -> np.ndarray:
+    """One channel's calibration as one whole-array product and sum."""
+    return np.asarray(codes, dtype=np.float64) * float(gain) + float(offset)
+
+
+def decimate_oracle(samples) -> np.ndarray:
+    """Pair averaging as one whole-array sum and division."""
+    pairs = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    return (pairs[:, 0] + pairs[:, 1]) / 2.0
+
+
 # --- scalar power oracles --------------------------------------------------------
 
 def real_power_oracle(v, i) -> float:

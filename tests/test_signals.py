@@ -1,8 +1,13 @@
+import itertools
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import assert_same_bits, calibrate_oracle, decimate_oracle
+from nilmedge import signals
 from nilmedge.signals import (
     CalibrationCoefficients,
     LengthMismatchError,
@@ -19,6 +24,20 @@ from nilmedge.signals import (
 
 BIPOLAR = CalibrationCoefficients(gain_v=2.5 / 16384, offset_v=-1.25,
                                   gain_i=2.5 / 16384, offset_i=-1.25)
+BLOCK = signals._CALIBRATE_BLOCK
+# every ordered pair of these, NaN, infinities, signed zeros, subnormals
+# whose halves round and sums that overflow included
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 1.0, -2.5, 5e-324, -5e-324, 3e-308]
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes numpy allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCalibrate:
@@ -131,12 +150,7 @@ class TestCalibrate:
         n = 2_000_000
         block = RawSampleBlock(codes_v=rng.integers(0, 16384, size=n),
                                codes_i=rng.integers(0, 16384, size=n))
-        tracemalloc.start()
-        try:
-            out = calibrate_raw(block, default_calibration())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: calibrate_raw(block, default_calibration()))
         assert peak <= out.v.nbytes + out.i.nbytes + 2**20
 
     def test_gain_must_be_positive(self):
@@ -176,6 +190,106 @@ class TestDecimate:
         s = SampleStream(v=rng.normal(size=400), i=rng.normal(size=400), rate_hz=20000)
         out = decimate_stream(s)
         assert out.rate_hz == 10000 and len(out) == 200
+
+    def test_special_values_give_the_whole_array_bits(self):
+        # one sum and one division per pair, so NaN signs, infinities,
+        # -0.0 and overflowing sums come out as the whole-array formula's
+        pairs = np.array(list(itertools.product(SPECIAL, repeat=2))).ravel()
+        x = np.tile(pairs, 4 * BLOCK // pairs.size + 2)  # 2 * BLOCK pairs and more: two slice edges
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = decimate_oracle(x)
+            assert_same_bits(decimate_average(x), expected)
+            out = decimate_stream(SampleStream(v=x, i=x[::-1].copy(), rate_hz=20000))
+            assert_same_bits(out.v, expected)
+            assert_same_bits(out.i, decimate_oracle(x[::-1]))
+
+    @pytest.mark.parametrize("step", [3, -1])
+    def test_strided_input(self, rng, step):
+        base = rng.normal(size=6 * BLOCK + 6)
+        x = base[::step][: 2 * BLOCK + 2]
+        assert not x.flags.c_contiguous
+        assert_same_bits(decimate_average(x), decimate_oracle(x))
+
+    def test_decimation_allocates_only_its_outputs(self, rng):
+        # numpy reports its buffers to tracemalloc, so a whole-array sum
+        # of the pairs shows
+        s = SampleStream(v=rng.normal(size=2_000_000), i=rng.normal(size=2_000_000), rate_hz=20000)
+        out, peak = traced_peak(lambda: decimate_average(s.v))
+        assert peak <= out.nbytes + 2**20
+        out, peak = traced_peak(lambda: decimate_stream(s))
+        assert peak <= out.v.nbytes + out.i.nbytes + 2**20
+
+
+class TestChannelThreads:
+    """calibrate_raw and decimate_stream run the voltage channel on a worker
+    thread while the caller runs current: the bits, the errors and the
+    thread count are those of the serial calls."""
+
+    @pytest.mark.parametrize("n", [0, 2, BLOCK - 2, BLOCK, BLOCK + 2,
+                                   2 * BLOCK - 2, 2 * BLOCK, 2 * BLOCK + 2])
+    def test_chain_gives_the_whole_array_bits(self, n):
+        rng = np.random.default_rng(n)
+        codes_v, codes_i = rng.integers(0, 16384, size=(2, n))
+        coeffs = default_calibration()
+        threads = threading.active_count()
+        out = decimate_stream(calibrate_raw(RawSampleBlock(codes_v=codes_v, codes_i=codes_i), coeffs))
+        assert threading.active_count() == threads
+        assert out.rate_hz == 10_000
+        assert_same_bits(out.v, decimate_oracle(calibrate_oracle(codes_v, coeffs.gain_v, coeffs.offset_v)))
+        assert_same_bits(out.i, decimate_oracle(calibrate_oracle(codes_i, coeffs.gain_i, coeffs.offset_i)))
+
+    def test_voltage_runs_on_a_worker_thread(self):
+        caller = threading.get_ident()
+        v, i = signals._per_channel(threading.get_ident, threading.get_ident)
+        assert i == caller and v != caller
+
+    @pytest.mark.parametrize("failing", ["v", "i", "both"])
+    def test_failure_raises_and_leaves_no_thread(self, failing):
+        def channel(name):
+            def run():
+                time.sleep(0.01 if name == "v" else 0)  # the caller's channel ends first
+                if failing in (name, "both"):
+                    raise ValueError(name)
+                return name
+            return run
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as err:
+            signals._per_channel(channel("v"), channel("i"))
+        assert threading.active_count() == threads
+        assert str(err.value) == ("i" if failing == "i" else "v")  # voltage wins, as in serial order
+
+    @pytest.mark.parametrize("channel", ["v", "i"])
+    def test_errstate_holds_on_either_channel(self, channel):
+        # a new thread starts with numpy's default error settings (numpy 1.x
+        # keeps them per thread, 2.x per context), so the worker must take
+        # the caller's: each mode acts alike on either channel
+        coeffs = {"gain_v": 0.01, "offset_v": 0.0, "gain_i": 0.01, "offset_i": 0.0, f"gain_{channel}": 1e305}
+        block = RawSampleBlock(codes_v=[16383] * 4, codes_i=[16383] * 4)
+        calm, hot = [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1e308, 1e308]
+        stream = SampleStream(v=hot if channel == "v" else calm, i=hot if channel == "i" else calm,
+                              rate_hz=20000)
+        threads = threading.active_count()
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                calibrate_raw(block, CalibrationCoefficients(**coeffs))
+            with pytest.raises(FloatingPointError, match="overflow"):
+                decimate_stream(stream)
+        with np.errstate(over="ignore"):  # numpy's default warns, and this suite fails on warnings
+            assert np.isinf(getattr(calibrate_raw(block, CalibrationCoefficients(**coeffs)), channel)).all()
+            assert np.isinf(getattr(decimate_stream(stream), channel)[1])
+        seen = []
+        with np.errstate(over="call", call=lambda err, flag: seen.append(err)):
+            calibrate_raw(block, CalibrationCoefficients(**coeffs))
+            decimate_stream(stream)
+        assert seen == ["overflow", "overflow"]
+        assert threading.active_count() == threads
+
+    def test_both_channels_failing_raise_voltage_error(self):
+        stream = SampleStream(v=[1e308, 1e308], i=[np.inf, -np.inf], rate_hz=20000)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):  # voltage's; current's is invalid
+                decimate_stream(stream)
 
 
 class TestWindowing:
