@@ -1,4 +1,5 @@
 import itertools
+import sys
 import threading
 import time
 import tracemalloc
@@ -24,6 +25,8 @@ from nilmedge.signals import (
 
 BIPOLAR = CalibrationCoefficients(gain_v=2.5 / 16384, offset_v=-1.25,
                                   gain_i=2.5 / 16384, offset_i=-1.25)
+# no coefficient here is a short binary fraction, so products and sums round
+INEXACT = CalibrationCoefficients(gain_v=0.0123, offset_v=0.37, gain_i=0.0071, offset_i=-0.53)
 BLOCK = signals._CALIBRATE_BLOCK
 # every ordered pair of these, NaN, infinities, signed zeros, subnormals
 # whose halves round and sums that overflow included
@@ -165,6 +168,135 @@ class TestCalibrate:
             CalibrationCoefficients(**{**good, field: value})
 
 
+class TestShapesAndRates:
+    """A channel that is not one-dimensional, or a rate that is not an int
+    >= 1, fails where it is given, naming the channel or field."""
+
+    @pytest.mark.parametrize("bad", [[[1, 2], [3, 4]], 5, np.zeros((1, 4), dtype=np.int16)])
+    @pytest.mark.parametrize("channel", ["voltage", "current"])
+    def test_block_channel_must_be_one_dimensional(self, bad, channel):
+        good = [1, 2, 3, 4]
+        codes = {"codes_v": bad, "codes_i": good} if channel == "voltage" else {"codes_v": good, "codes_i": bad}
+        with pytest.raises(ValueError, match=f"^{channel} codes must be one-dimensional"):
+            RawSampleBlock(**codes)
+
+    @pytest.mark.parametrize("bad", [1.0, [[1.0, 2.0], [3.0, 4.0]], np.zeros((4, 1))])
+    @pytest.mark.parametrize("channel", ["voltage", "current"])
+    def test_stream_channel_must_be_one_dimensional(self, bad, channel):
+        good = [1.0, 2.0, 3.0, 4.0]
+        samples = {"v": bad, "i": good} if channel == "voltage" else {"v": good, "i": bad}
+        with pytest.raises(ValueError, match=f"^{channel} samples must be one-dimensional"):
+            SampleStream(**samples)
+
+    @pytest.mark.parametrize("rate", [0, -10_000, 10_000.0, True, "10000", None])
+    def test_stream_rate_must_be_an_int_of_at_least_one(self, rate):
+        with pytest.raises(ValueError, match="rate_hz must be an int >= 1"):
+            SampleStream(v=np.zeros(4), i=np.zeros(4), rate_hz=rate)
+
+    @pytest.mark.parametrize("rate", [1, np.int64(20_000)])
+    def test_int_rates_kept_as_int(self, rate):
+        s = SampleStream(v=np.zeros(4), i=np.zeros(4), rate_hz=rate)
+        assert type(s.rate_hz) is int and s.rate_hz == rate and s.duration_s == 4 / rate
+
+
+class TestCodeBackedStream:
+    """calibrate_raw returns a stream that holds the block's codes and one
+    table per channel; decimate_stream reads the codes, and the first read
+    of v or i gathers both channels from the tables."""
+
+    def test_length_duration_and_rate_read_no_samples(self, rng):
+        n = 2_000_000
+        block = RawSampleBlock(codes_v=rng.integers(0, 16384, size=n), codes_i=rng.integers(0, 16384, size=n))
+        stream = calibrate_raw(block, INEXACT)
+        (size, duration, rate), peak = traced_peak(lambda: (len(stream), stream.duration_s, stream.rate_hz))
+        assert (size, duration, rate) == (n, n / 20_000, 20_000)
+        assert peak < 2**16
+
+    def test_chain_allocates_only_its_outputs(self, rng):
+        # a 20 kHz float array, even one channel's, would be 16 MB here
+        n = 2_000_000
+        block = RawSampleBlock(codes_v=rng.integers(0, 16384, size=n), codes_i=rng.integers(0, 16384, size=n))
+        out, peak = traced_peak(lambda: decimate_stream(calibrate_raw(block, default_calibration())))
+        assert peak <= out.v.nbytes + out.i.nbytes + 2**20
+
+    def test_first_read_gives_writable_float_channels(self, rng):
+        codes_v, codes_i = rng.integers(0, 16384, size=(2, 2 * BLOCK + 6))
+        stream = calibrate_raw(RawSampleBlock(codes_v=codes_v, codes_i=codes_i), INEXACT)
+        v = stream.v
+        assert stream.i is stream.i and stream.v is v
+        assert_same_bits(v, calibrate_oracle(codes_v, INEXACT.gain_v, INEXACT.offset_v))
+        assert_same_bits(stream.i, calibrate_oracle(codes_i, INEXACT.gain_i, INEXACT.offset_i))
+        v[:2] = [1.0, 3.0]  # once read, the stream is a float stream: a write reaches decimation
+        out = decimate_stream(stream)
+        assert out.v[0] == 2.0
+        assert_same_bits(out.v[1:], decimate_oracle(v)[1:])
+
+    # with gain 1e305, codes from 1798 up calibrate to inf, and pair sums of
+    # finite samples overflow too
+    @pytest.mark.parametrize("coeffs", [INEXACT, CalibrationCoefficients(gain_v=1e305, offset_v=-1e307,
+                                                                         gain_i=1e305, offset_i=0.0)])
+    def test_decimating_codes_twice_gives_the_float_path_bits(self, rng, coeffs):
+        codes_v, codes_i = rng.integers(0, 3600, size=(2, 1000))
+        with np.errstate(over="ignore"):
+            stream = calibrate_raw(RawSampleBlock(codes_v=codes_v, codes_i=codes_i), coeffs)
+            first = decimate_stream(stream)
+            assert first.v.flags.writeable and first.i.flags.writeable
+            second = decimate_stream(stream)
+            floats = decimate_stream(SampleStream(v=stream.v, i=stream.i, rate_hz=20_000))
+        for out in (second, floats):
+            assert_same_bits(out.v, first.v)
+            assert_same_bits(out.i, first.i)
+
+    def test_concurrent_first_reads_gather_once(self, rng):
+        # more readers than CPUs, switching often: a second gather would hand
+        # some reader an array the stream no longer holds
+        codes_v, codes_i = rng.integers(0, 16384, size=(2, 4 * BLOCK))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                stream = calibrate_raw(RawSampleBlock(codes_v=codes_v, codes_i=codes_i), INEXACT)
+                seen = []
+                readers = [threading.Thread(target=lambda: seen.append((stream.v, stream.i))) for _ in range(8)]
+                for t in readers:
+                    t.start()
+                for t in readers:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert len(seen) == 8
+                assert all(v is stream.v and i is stream.i for v, i in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("channel", ["v", "i"])
+    def test_codes_below_an_overflowing_code_do_not_raise(self, channel):
+        # 1798 * 1e305 overflows; the table holds only the block's code range,
+        # and these codes' pair sums stay finite too
+        coeffs = CalibrationCoefficients(**{"gain_v": 0.01, "offset_v": 0.0, "gain_i": 0.01, "offset_i": 0.0,
+                                            f"gain_{channel}": 1e305})
+        codes = [0, 1, 500, 800]
+        with np.errstate(over="raise"):
+            stream = calibrate_raw(RawSampleBlock(codes_v=codes, codes_i=codes), coeffs)
+            out = decimate_stream(stream)
+            assert np.isfinite(getattr(stream, channel)).all() and np.isfinite(getattr(out, channel)).all()
+            with pytest.raises(FloatingPointError, match="overflow"):
+                calibrate_raw(RawSampleBlock(codes_v=codes + [1798, 0], codes_i=codes + [1798, 0]), coeffs)
+
+    def test_odd_code_count_rejected_as_for_floats(self):
+        block = RawSampleBlock(codes_v=[1, 2, 3], codes_i=[1, 2, 3])
+        message = "^decimation needs an even sample count, got 3$"
+        with pytest.raises(ValueError, match=message):
+            decimate_stream(calibrate_raw(block, BIPOLAR))
+        with pytest.raises(ValueError, match=message):
+            decimate_stream(SampleStream(v=[1.0, 2.0, 3.0], i=[1.0, 2.0, 3.0], rate_hz=20_000))
+
+    def test_empty_block(self):
+        stream = calibrate_raw(RawSampleBlock(codes_v=[], codes_i=[]), INEXACT)
+        assert len(stream) == 0 and stream.duration_s == 0.0
+        out = decimate_stream(stream)
+        assert len(out) == 0 and stream.v.size == stream.i.size == 0
+
+
 class TestDecimate:
     def test_pair_means(self):
         np.testing.assert_array_equal(decimate_average([1, 3, 5, 7]), [2, 6])
@@ -228,15 +360,19 @@ class TestChannelThreads:
     @pytest.mark.parametrize("n", [0, 2, BLOCK - 2, BLOCK, BLOCK + 2,
                                    2 * BLOCK - 2, 2 * BLOCK, 2 * BLOCK + 2])
     def test_chain_gives_the_whole_array_bits(self, n):
+        # the default calibration's arithmetic is exact (gain 25/512, offset
+        # -400), so only inexact coefficients show a reassociated or fused
+        # multiply-add kernel
         rng = np.random.default_rng(n)
         codes_v, codes_i = rng.integers(0, 16384, size=(2, n))
-        coeffs = default_calibration()
-        threads = threading.active_count()
-        out = decimate_stream(calibrate_raw(RawSampleBlock(codes_v=codes_v, codes_i=codes_i), coeffs))
-        assert threading.active_count() == threads
-        assert out.rate_hz == 10_000
-        assert_same_bits(out.v, decimate_oracle(calibrate_oracle(codes_v, coeffs.gain_v, coeffs.offset_v)))
-        assert_same_bits(out.i, decimate_oracle(calibrate_oracle(codes_i, coeffs.gain_i, coeffs.offset_i)))
+        block = RawSampleBlock(codes_v=codes_v, codes_i=codes_i)
+        for coeffs in (default_calibration(), INEXACT):
+            threads = threading.active_count()
+            out = decimate_stream(calibrate_raw(block, coeffs))
+            assert threading.active_count() == threads
+            assert out.rate_hz == 10_000
+            assert_same_bits(out.v, decimate_oracle(calibrate_oracle(codes_v, coeffs.gain_v, coeffs.offset_v)))
+            assert_same_bits(out.i, decimate_oracle(calibrate_oracle(codes_i, coeffs.gain_i, coeffs.offset_i)))
 
     def test_voltage_runs_on_a_worker_thread(self):
         caller = threading.get_ident()
