@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import scenarios
 from .cost import CORTEX_M4_PAPER, cost_report, load_profile
+from .events import DEFAULT_THRESHOLD_W
 from .features import (
     DEFAULT_LAYOUT,
     FREQUENCY_ONLY_LAYOUT,
@@ -262,7 +263,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("single", "multi"), default="single")
-    p.add_argument("--threshold-w", type=float, default=5.0)
+    p.add_argument("--threshold-w", type=float, default=DEFAULT_THRESHOLD_W)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("cost", help="resource report for a trained model file")

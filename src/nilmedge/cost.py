@@ -26,11 +26,11 @@ negative table entry raises ``ValueError`` naming the key.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .features import FeatureLayout
+from .checks import finite_number
+from .features import FEATURE_GROUPS, FeatureLayout
 from .models.base import BaseModel
 from .models.io import KIND_CODES, model_kind
 from .records import dumps, jsonable, record_fields
@@ -126,8 +126,7 @@ class CostProfile:
 def _check_number(where: str, value, positive: bool) -> None:
     """Profile values are finite numbers; budgets and sizes are positive, and
     table rows and coefficients are non-negative."""
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    if isinstance(value, bool) or not finite or not (value > 0 if positive else value >= 0):
+    if not (finite_number(value) and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
         raise ValueError(f"{where} must be a finite {sign} number, got {value!r}")
 
@@ -164,26 +163,10 @@ CORTEX_M4_PAPER = CostProfile(
 
 # --- extraction --------------------------------------------------------------
 
-FEATURE_GROUPS = ("p", "s_abs", "q", "harmonics")
-
-
 def feature_groups(layout: FeatureLayout, selected_indices=None) -> set[str]:
     """Which feature groups a layout subset actually requires."""
-    names = layout.names
-    if selected_indices is None:
-        selected_indices = range(len(names))
-    groups: set[str] = set()
-    for idx in selected_indices:
-        name = names[idx]
-        if name == "P":
-            groups.add("p")
-        elif name == "S_abs":
-            groups.add("s_abs")
-        elif name == "Q":
-            groups.add("q")
-        else:
-            groups.add("harmonics")
-    return groups
+    groups = layout.groups
+    return set(groups) if selected_indices is None else {groups[k] for k in selected_indices}
 
 
 @dataclass(frozen=True)
@@ -221,10 +204,7 @@ def extraction_cost(groups: set[str] | FeatureLayout, profile: CostProfile,
         )
 
     rows = ["raw_conv_vi" if needs_voltage else "raw_conv_i"]
-    if "p" in groups:
-        rows.append("p")
-    if "s_abs" in groups:
-        rows.append("s_abs")
+    rows += [g for g in ("p", "s_abs") if g in groups]  # one measured row each, of that name
     if "q" in groups:
         has_p, has_s = "p" in groups, "s_abs" in groups
         rows.append("q1" if has_p and has_s else
@@ -233,9 +213,7 @@ def extraction_cost(groups: set[str] | FeatureLayout, profile: CostProfile,
     if "harmonics" in groups:
         rows.append("fft_1024_unordered")
 
-    total = ResourceCost()
-    for row in rows:
-        total = total + profile.extraction[row]
+    total = sum((profile.extraction[row] for row in rows), ResourceCost())
     return ExtractionCost(cost=total, rows=tuple(rows), needs_voltage=needs_voltage)
 
 

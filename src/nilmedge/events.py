@@ -20,11 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import finite_number
+
 DEFAULT_THRESHOLD_W = 5.0
-DELTA_OFFSETS_PRE = (-20, -10, -1)
-DELTA_OFFSETS_POST = (1, 10, 20)
 DELTA_HALF_SPAN = 20  # windows on each side of the event
-GUARD_RADIUS = 20  # another event within +-20 windows invalidates both
+# the windows dF(j) averages, relative to j: three before, then three after
+DELTA_OFFSETS = (-DELTA_HALF_SPAN, -DELTA_HALF_SPAN // 2, -1,
+                 1, DELTA_HALF_SPAN // 2, DELTA_HALF_SPAN)
+# another event within +-GUARD_RADIUS windows invalidates both; the guard
+# reads no further than the delta, so an event resolves with both at once
+GUARD_RADIUS = DELTA_HALF_SPAN
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,7 @@ def check_threshold(threshold_w: float) -> None:
     """Reject a detection threshold that is not a finite positive number:
     with NaN, |delta| <= threshold never holds, so every window would be an
     event."""
-    if not 0.0 < threshold_w < math.inf:
+    if not (finite_number(threshold_w) and threshold_w > 0):
         raise ValueError(
             f"threshold must be a finite positive number of watts, got {threshold_w!r}")
 
@@ -71,7 +76,7 @@ def delta_feature(features: np.ndarray, j: int) -> np.ndarray:
     window-indexed feature matrix (row w holds window w's features).
 
     Raises ValueError naming the windows the matrix does not hold."""
-    windows = [j + off for off in DELTA_OFFSETS_PRE + DELTA_OFFSETS_POST]
+    windows = [j + off for off in DELTA_OFFSETS]
     missing = [w for w in windows if not 0 <= w < len(features)]
     if missing:
         raise ValueError(f"the delta of window {j} needs windows {missing}, "

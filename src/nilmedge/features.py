@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import whole_number
 from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream, SampleWindow, window_rows
 
 FFT_SIZE = 1024
@@ -55,6 +56,9 @@ DEFAULT_HARMONIC_ORDERS = tuple(range(1, 100, 2))  # 1, 3, ..., 99
 # about 225 us one at a time to about 60 us at 16-32 and rose again at 64,
 # where the complex working set no longer stays in cache
 EXTRACT_BLOCK = 32
+# the extraction groups a column can belong to, each priced as one unit by
+# the cost model: P, |S|, Q, and the FFT that yields every harmonic column
+FEATURE_GROUPS = ("p", "s_abs", "q", "harmonics")
 
 
 # --- radix-2 FFT -------------------------------------------------------------
@@ -194,7 +198,7 @@ class FeatureLayout:
                 raise ValueError(f"layout {key!r} must be a boolean, got {getattr(self, key)!r}")
         orders = self.harmonic_orders
         if not isinstance(orders, (list, tuple, range, np.ndarray)) or not all(
-                isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in orders):
+                map(whole_number, orders)):
             raise ValueError(f"layout 'harmonic_orders' must be a list of integers, got {orders!r}")
         orders = tuple(int(k) for k in orders)
         object.__setattr__(self, "harmonic_orders", orders)
@@ -231,6 +235,14 @@ class FeatureLayout:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.descriptors)
+
+    @property
+    def groups(self) -> tuple[str, ...]:
+        """Each column's extraction group, one of FEATURE_GROUPS: the
+        time-domain triple is p, s_abs and q, and every harmonic column
+        comes from the FFT."""
+        time = FEATURE_GROUPS[:3] if self.time_domain else ()
+        return time + FEATURE_GROUPS[3:] * (len(self) - len(time))
 
     def harmonic_bin(self, order: int) -> int:
         """Nearest 1024-point bin to the order-th 50 Hz harmonic."""

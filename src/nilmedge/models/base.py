@@ -18,11 +18,6 @@ import numpy as np
 from ..features import FeatureLayout
 
 
-def whole_number(value, least: int) -> bool:
-    """value is an int, and not a bool, of at least `least`."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
 def check_class_names(names) -> tuple[str, ...]:
     """names as a tuple, if they are distinct strings: a class id's name is
     what a prediction is reported as."""

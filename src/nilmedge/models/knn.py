@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseModel, whole_number
+from ..checks import whole_number
+from .base import BaseModel
 
 
 @dataclass(frozen=True)

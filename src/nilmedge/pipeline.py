@@ -36,8 +36,7 @@ import numpy as np
 from .events import (
     DEFAULT_THRESHOLD_W,
     DELTA_HALF_SPAN,
-    DELTA_OFFSETS_POST,
-    DELTA_OFFSETS_PRE,
+    DELTA_OFFSETS,
     SwitchEvent,
     check_threshold,
     delta_feature,  # noqa: F401 - perfbench/spans.py wraps it at this name
@@ -72,7 +71,7 @@ def _event_core(
        them. It builds the events and raises for the first non-finite one.
     3. Multi mode runs event_guard once on all events. An event at window
        j is resolved iff window j+20 exists: the guard and the delta both
-       need every window up to j+20, hence GUARD_RADIUS == DELTA_HALF_SPAN.
+       need every window up to j+20 (GUARD_RADIUS is DELTA_HALF_SPAN).
     4. One window_features call extracts the windows the results read,
        and one delta_feature_from_windows call averages every event's
        stacked triples. Its arithmetic is elementwise, so each vector has
@@ -97,7 +96,6 @@ def _event_core(
     if single:
         x = window_features(v, i, [ev.window_index for ev in events], layout)
         return [(ev, True, row) for ev, row in zip(events, x)]
-    offsets = DELTA_OFFSETS_PRE + DELTA_OFFSETS_POST
     results, windows = [], []
     for ev, valid in zip(events, event_guard(events)):
         j = ev.window_index
@@ -105,9 +103,9 @@ def _event_core(
         reads = resolved and valid and j >= DELTA_HALF_SPAN  # windows j-20 .. j+20 exist
         results.append((ev, valid or not resolved, reads))
         if reads:
-            windows += [j + off for off in offsets]
+            windows += [j + off for off in DELTA_OFFSETS]
     rows = window_features(v, i, windows, layout)
-    triples = [rows[k::len(offsets)] for k in range(len(offsets))]
+    triples = [rows[k::len(DELTA_OFFSETS)] for k in range(len(DELTA_OFFSETS))]
     deltas = iter(delta_feature_from_windows(triples[:3], triples[3:]))
     return [(ev, valid, next(deltas) if reads else None) for ev, valid, reads in results]
 

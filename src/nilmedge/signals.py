@@ -33,6 +33,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .checks import finite_number, whole_number
+
 ADC_CODE_MAX = 16383  # 14-bit converter, 16384 discrete values
 ACQUISITION_RATE_HZ = 20_000
 SAMPLE_RATE_HZ = 10_000
@@ -54,10 +56,10 @@ class CalibrationCoefficients:
 
     def __post_init__(self):
         for name, value in (("gain_v", self.gain_v), ("gain_i", self.gain_i)):
-            if not 0 < value < np.inf:  # NaN fails too
+            if not (finite_number(value) and value > 0):
                 raise ValueError(f"calibration {name} must be a finite number > 0, got {value!r}")
         for name, value in (("offset_v", self.offset_v), ("offset_i", self.offset_i)):
-            if not np.isfinite(value):
+            if not finite_number(value):
                 raise ValueError(f"calibration {name} must be finite, got {value!r}")
 
 
@@ -141,7 +143,7 @@ class SampleStream:
     __slots__ = ("_v", "_i", "_codes", "_rate_hz")
 
     def __init__(self, v, i, rate_hz: int = SAMPLE_RATE_HZ):
-        if isinstance(rate_hz, bool) or not isinstance(rate_hz, (int, np.integer)) or rate_hz < 1:
+        if not whole_number(rate_hz, 1):
             raise ValueError(f"stream rate_hz must be an int >= 1, got {rate_hz!r}")
         self._v, self._i = _samples("voltage", v), _samples("current", i)
         if self._v.shape != self._i.shape:

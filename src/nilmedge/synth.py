@@ -37,6 +37,7 @@ from itertools import compress
 
 import numpy as np
 
+from .checks import finite_number
 from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream
 
 APPLIANCE_KINDS = ("resistive", "reactive", "rectifier", "phase_cut")
@@ -55,11 +56,11 @@ class ScenarioError(ValueError):
 
 
 def _require_finite(record, names: tuple[str, ...], what: str, error: type[Exception]) -> None:
-    """NaN and infinity pass every range check below unseen, so they are
-    rejected first, naming the field."""
+    """NaN and infinity pass every range check below unseen, and a bool
+    passes as 0 or 1, so they are rejected first, naming the field."""
     for name in names:
         value = getattr(record, name)
-        if not math.isfinite(value):
+        if not finite_number(value):
             raise error(f"{what} {name} must be finite, got {value!r}")
 
 
@@ -73,7 +74,7 @@ class Mains:
     def __post_init__(self):
         for name in ("amplitude_v", "freq_hz"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (finite_number(value) and value > 0):
                 raise ValueError(f"mains {name} must be finite and positive, got {value!r}")
 
     @property
@@ -99,12 +100,12 @@ class ApplianceModel:
             raise ValueError("nominal power must be positive")
         if self.noise_rms_a < 0:
             raise ValueError("noise RMS cannot be negative")
-        if not 0 <= self.cut_angle_rad < np.pi:
+        if not (finite_number(self.cut_angle_rad) and 0 <= self.cut_angle_rad < np.pi):
             raise ValueError("cut angle must lie in [0, pi)")
         for order, rel in self.harmonic_profile.items():
             if not isinstance(order, (int, np.integer)) or order < 1 or order % 2 == 0:
                 raise ValueError(f"harmonic orders must be odd integers >= 1, got {order!r}")
-            if not 0 <= rel <= 1:
+            if not (finite_number(rel) and 0 <= rel <= 1):
                 raise ValueError(f"relative harmonic amplitudes lie in [0, 1], got {rel}")
         if self.kind == "rectifier" and self.harmonic_profile.get(1) != 1.0:
             raise ValueError("rectifier profiles must carry the fundamental at relative amplitude 1")

@@ -71,7 +71,7 @@ import traceback
 
 import numpy as np
 
-from ..models.base import whole_number
+from ..checks import whole_number
 from ..models.forest import LEAF, RfModel, TreeNodes
 from .dataset import Dataset, model_inputs
 

@@ -15,8 +15,6 @@ with; any other document raises ``ValueError`` naming the key.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -24,7 +22,8 @@ from itertools import product
 import numpy as np
 
 from ..cost import CostProfile, CostReport, cost_report
-from ..models.base import classify_matrix, whole_number
+from ..checks import finite_number, whole_number
+from ..models.base import classify_matrix
 from ..models.forest import RfModel
 from ..models.svm import KERNELS
 from ..records import dumps, jsonable, record_fields
@@ -42,15 +41,11 @@ def derive_seed(*parts: int) -> int:
 
 # --- grid search -------------------------------------------------------------
 
-def _finite_positive(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
-
-
 # the values a grid axis may hold: those its trainer accepts on any data
 _AXIS_VALUES = {
     "knn_k": (lambda v: whole_number(v, 1), "an int >= 1"),
-    "svm_c": (_finite_positive, "a finite number > 0"),
-    "svm_gamma": (_finite_positive, "a finite number > 0"),
+    "svm_c": (lambda v: finite_number(v) and v > 0, "a finite number > 0"),
+    "svm_gamma": (lambda v: finite_number(v) and v > 0, "a finite number > 0"),
     "svm_kernel": (lambda v: v in KERNELS, f"one of {KERNELS}"),
     "rf_trees": (lambda v: whole_number(v, 1), "an int >= 1"),
     "rf_depth": (lambda v: v is None or whole_number(v, 0), "None or an int >= 0"),
@@ -240,21 +235,13 @@ class MdaReport:
         return cls(**doc)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
-
-
 # what each key of an MDA document must hold for MdaReport to be built from it
 _MDA_VALUES = {
-    "baseline_accuracy": lambda v: _is_number(v) and 0 <= v <= 1,
-    "importances": lambda v: isinstance(v, list) and all(map(_is_number, v)),
-    "ranking": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "repetitions": lambda v: _is_int(v) and v >= 1,
-    "seed": _is_int,
+    "baseline_accuracy": lambda v: finite_number(v) and 0 <= v <= 1,
+    "importances": lambda v: isinstance(v, list) and all(map(finite_number, v)),
+    "ranking": lambda v: isinstance(v, list) and all(map(whole_number, v)),
+    "repetitions": lambda v: whole_number(v, 1),
+    "seed": whole_number,
     "kind": lambda v: v in MODEL_KINDS,
     "params": lambda v: isinstance(v, dict),
 }
@@ -374,7 +361,7 @@ class SweepReport:
 
 def check_drop_tolerance(drop_tolerance) -> None:
     """A sweep's accuracy tolerance is a finite number >= 0."""
-    if not 0 <= drop_tolerance < math.inf:  # NaN fails too
+    if not (finite_number(drop_tolerance) and drop_tolerance >= 0):
         raise ValueError(f"drop_tolerance must be a finite number >= 0, got {drop_tolerance!r}")
 
 

@@ -21,11 +21,9 @@ values as their out-of-place forms.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..models.base import whole_number
+from ..checks import finite_number, whole_number
 from ..models.mlp import MlpModel, forward
 from .dataset import Dataset, model_inputs
 
@@ -48,7 +46,7 @@ def check_mlp_settings(hidden, lr, epochs) -> None:
         raise ValueError(f"epochs must be an int >= 1, got {epochs!r}")
     if not all(whole_number(width, 1) for width in hidden):
         raise ValueError(f"hidden widths must be ints >= 1, got {tuple(hidden)!r}")
-    if not 0 < lr < math.inf:  # NaN fails too
+    if not (finite_number(lr) and lr > 0):
         raise ValueError(f"learning rate lr must be a finite number > 0, got {lr!r}")
 
 

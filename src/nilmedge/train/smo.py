@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..checks import finite_number
 from ..models.svm import SvmModel, kernel_matrix, pair_order
 from .dataset import Dataset, model_inputs
 
@@ -140,7 +141,7 @@ def train_svm(
 
     gamma=None uses 1/n_features on the standardized inputs.
     """
-    if not 0 < c < np.inf:  # NaN fails too
+    if not (finite_number(c) and c > 0):
         raise ValueError(f"regularization parameter c must be a finite positive number, got {c!r}")
     fields, x = model_inputs(d, selected_indices)
     y = d.y

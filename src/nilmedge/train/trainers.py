@@ -9,13 +9,14 @@ seed goes to the kinds that draw random numbers (mlp and rf).
 from __future__ import annotations
 
 from ..models.base import BaseModel
+from ..models.io import KIND_CODES
 from ..models.knn import KnnModel
 from .cart import train_rf
 from .dataset import Dataset, model_inputs
 from .sgd import train_mlp
 from .smo import train_svm
 
-MODEL_KINDS = ("knn", "svm", "mlp", "rf")
+MODEL_KINDS = tuple(KIND_CODES)
 
 
 def train_knn(d: Dataset, k: int = 1,

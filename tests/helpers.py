@@ -515,6 +515,45 @@ def assert_same_bits(a, b) -> None:
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+# --- cost oracles ----------------------------------------------------------------------
+
+def groups_oracle(layout: FeatureLayout) -> tuple[str, ...]:
+    """Each column's extraction group, read off its name: P, S_abs and Q are
+    groups of their own, and every other column is a harmonic of the FFT."""
+    groups = []
+    for name in layout.names:
+        if name == "P":
+            groups.append("p")
+        elif name == "S_abs":
+            groups.append("s_abs")
+        elif name == "Q":
+            groups.append("q")
+        else:
+            groups.append("harmonics")
+    return tuple(groups)
+
+
+def extraction_rows_oracle(groups: set[str]) -> tuple[str, ...]:
+    """The measured extraction rows a group set is charged, rule by rule: the
+    full vector is its own row; otherwise one calibration row, P and |S| if
+    asked for, the cheapest Q variant given them, and the unordered FFT."""
+    if groups == {"p", "s_abs", "q", "harmonics"}:
+        return ("full_vector",)
+    rows = ["raw_conv_vi" if groups & {"p", "s_abs", "q"} else "raw_conv_i"]
+    if "p" in groups:
+        rows.append("p")
+    if "s_abs" in groups:
+        rows.append("s_abs")
+    if "q" in groups:
+        # (P computed, |S| computed) -> the Q variant that reuses them
+        variants = {(True, True): "q1", (False, True): "q2",
+                    (True, False): "q3", (False, False): "q4"}
+        rows.append(variants["p" in groups, "s_abs" in groups])
+    if "harmonics" in groups:
+        rows.append("fft_1024_unordered")
+    return tuple(rows)
+
+
 # --- whole-stream event oracles -------------------------------------------------------
 
 def events_oracle(stream) -> list:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from helpers import (
     BAD_VALUES,
     edited,
+    extraction_rows_oracle,
+    groups_oracle,
     key_paths,
     leaf_paths,
     random_knn,
@@ -15,9 +18,11 @@ from helpers import (
     random_rf,
     random_svm,
 )
+from nilmedge import features
 from nilmedge.cost import (
     CORTEX_M4_PAPER,
     CostProfile,
+    FEATURE_GROUPS,
     ResourceCost,
     budget_check,
     cost_report,
@@ -32,7 +37,12 @@ from nilmedge.cost import (
     profile_to_json,
     validate_profile,
 )
-from nilmedge.features import DEFAULT_LAYOUT, FREQUENCY_ONLY_LAYOUT, TIME_ONLY_LAYOUT
+from nilmedge.features import (
+    DEFAULT_LAYOUT,
+    FREQUENCY_ONLY_LAYOUT,
+    TIME_ONLY_LAYOUT,
+    FeatureLayout,
+)
 
 KIB = 1024.0
 PROFILE = CORTEX_M4_PAPER
@@ -92,6 +102,50 @@ class TestExtraction:
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError):
             extraction_cost({"voltage_thd"}, PROFILE)
+
+
+def random_layout(rng) -> FeatureLayout:
+    # each order kept at a share of its own, from none to all 50
+    kept = rng.random(50) < rng.random()
+    orders = tuple(k for k, keep in zip(range(1, 100, 2), kept) if keep)
+    return FeatureLayout(time_domain=bool(rng.integers(2)) or not orders, harmonic_orders=orders,
+                         complex_pairs=bool(rng.integers(2)))
+
+
+class TestLayoutGroups:
+    """The layout names each column's extraction group; the cost model reads
+    the groups from it instead of from the column names."""
+
+    @pytest.mark.parametrize("layout", [
+        DEFAULT_LAYOUT, TIME_ONLY_LAYOUT, FREQUENCY_ONLY_LAYOUT,
+        FeatureLayout(complex_pairs=False), FeatureLayout(time_domain=False, complex_pairs=False),
+    ])
+    def test_groups_match_the_column_names(self, layout):
+        assert layout.groups == groups_oracle(layout)
+        assert set(layout.groups) <= set(FEATURE_GROUPS)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_groups_of_random_layouts_match_the_column_names(self, seed):
+        layout = random_layout(np.random.default_rng(seed))
+        assert layout.groups == groups_oracle(layout)
+        assert len(layout.groups) == len(layout)
+
+    @pytest.mark.parametrize("subset", [c for n in range(1, 6) for c in combinations(range(5), n)])
+    def test_every_subset_of_the_first_five_columns_prices_as_before(self, subset):
+        # P, |S|, Q, H1_re and H1_im reach all 15 non-empty group sets
+        groups = {groups_oracle(DEFAULT_LAYOUT)[k] for k in subset}
+        rows = extraction_rows_oracle(groups)
+        total = ResourceCost()
+        for row in rows:
+            total = total + PROFILE.extraction[row]
+        ext = extraction_cost(DEFAULT_LAYOUT, PROFILE, selected_indices=subset)
+        assert ext.rows == rows
+        assert ext.cost == total
+        assert ext.needs_voltage == bool(groups & {"p", "s_abs", "q"})
+        assert feature_groups(DEFAULT_LAYOUT, subset) == groups
+
+    def test_feature_groups_stays_importable_from_cost(self):
+        assert FEATURE_GROUPS is features.FEATURE_GROUPS == ("p", "s_abs", "q", "harmonics")
 
 
 class TestModelCosts:

@@ -3,12 +3,21 @@ import pytest
 
 from helpers import guard_oracle
 from nilmedge.events import (
+    DELTA_HALF_SPAN,
+    DELTA_OFFSETS,
+    GUARD_RADIUS,
     SwitchEvent,
     delta_feature,
     delta_feature_from_windows,
     detect_event,
     event_guard,
 )
+
+
+def test_the_event_span_is_stated_once():
+    # dF(j) reads windows j-20 .. j+20, and the guard reads no further
+    assert DELTA_OFFSETS == (-20, -10, -1, 1, 10, 20)
+    assert GUARD_RADIUS == DELTA_HALF_SPAN == 20
 
 
 class TestDetect:
