@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (OSError, ValueError, KeyError, LookupError, RuntimeError) as exc:
+    except (OSError, ValueError, LookupError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

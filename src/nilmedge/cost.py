@@ -15,6 +15,12 @@ vector, the estimator returns the measured row; any other subset is the sum
 of the applicable rows, with the cheapest valid reactive-power variant and
 current-only calibration when no feature needs the voltage channel.
 
+A classifier's cost is counted in one place: `_counts` states, per model
+kind, one inference's MACs, stored reals (None for a forest, which stores
+nodes) and working bytes. `model_macs`, `model_flash` and `model_sram` read
+those counts, and `model_cycles` prices the MACs with the kind's
+coefficients plus the rbf SVM's per-vector surcharge.
+
 Reports and profiles are dataclasses, and a record's JSON is its fields
 (``records.dumps``): derived values such as ``CostReport.total`` and
 ``BudgetVerdict.fits`` are fields set at construction. A profile document
@@ -219,60 +225,54 @@ def extraction_cost(groups: set[str] | FeatureLayout, profile: CostProfile,
 
 # --- classification ----------------------------------------------------------
 
-def model_macs(model: BaseModel) -> float:
-    """Multiply-accumulate count for one inference.
+def _counts(model: BaseModel) -> tuple[str, int, int | None, int]:
+    """One inference's (kind, MACs, stored reals, working bytes).
 
-    kNN scans the whole training matrix; the SVM pays for kernel dot
-    products plus the per-row decision sums; the MLP is its matrix sizes;
-    forest branch comparisons count as one MAC-equivalent each, at the
-    worst-case depth."""
-    kind = model_kind(model)
+    kNN scans the whole training matrix it stores; the SVM pays for kernel
+    dot products plus the per-row decision sums, and stores those reals plus
+    one intercept per class pair; the MLP is its matrix sizes; forest branch
+    comparisons count as one MAC-equivalent each, at the worst-case depth,
+    and a forest stores nodes, not reals (None). Working bytes are the
+    activation and vote buffers only."""
+    kind, c = model_kind(model), model.n_classes
     if kind == "knn":
-        return float(model.train_x.shape[0] * model.train_x.shape[1])
+        # k (distance, index) pairs + votes
+        return kind, model.train_x.size, model.train_x.size, model.k * 12 + c * 4
     if kind == "svm":
-        return float(model.n_sv * model.support.shape[1] + model.n_sv * (model.n_classes - 1))
+        pairs = c * (c - 1) // 2
+        macs = model.n_sv * model.support.shape[1] + model.n_sv * (c - 1)
+        return kind, macs, macs + pairs, (c + pairs) * 4  # votes + pair decisions
     if kind == "mlp":
-        sizes = model.layer_sizes
-        return float(sum(a * b for a, b in zip(sizes, sizes[1:])))
-    return float(model.worst_case_comparisons())
+        sizes = model.layer_sizes  # the working memory is the largest activation buffer
+        return kind, sum(a * b for a, b in zip(sizes, sizes[1:])), model.parameter_count, max(sizes) * 4
+    return kind, model.worst_case_comparisons(), None, c * 4  # vote array
+
+
+def model_macs(model: BaseModel) -> float:
+    """Multiply-accumulate count for one inference."""
+    return float(_counts(model)[1])
 
 
 def model_flash(model: BaseModel, profile: CostProfile) -> float:
     """Parameter storage in bytes (plus per-tree code overhead for forests)."""
-    bpp = profile.bytes_per_parameter
-    kind = model_kind(model)
-    if kind == "knn":
-        return float(model.train_x.size * bpp)
-    if kind == "svm":
-        c = model.n_classes
-        params = model.n_sv * model.support.shape[1] + model.n_sv * (c - 1) + c * (c - 1) // 2
-        return float(params * bpp)
-    if kind == "mlp":
-        return float(model.parameter_count * bpp)
-    return float(model.node_count * profile.rf_node_bytes
-                 + model.n_trees * profile.rf_code_overhead_bytes)
+    reals = _counts(model)[2]
+    if reals is None:
+        return float(model.node_count * profile.rf_node_bytes
+                     + model.n_trees * profile.rf_code_overhead_bytes)
+    return float(reals * profile.bytes_per_parameter)
 
 
 def model_sram(model: BaseModel, profile: CostProfile) -> float:
     """Working memory during one inference: activation/vote buffers only."""
-    kind = model_kind(model)
-    c = model.n_classes
-    if kind == "knn":
-        return float(model.k * 12 + c * 4)  # k (distance, index) pairs + votes
-    if kind == "svm":
-        return float((c + c * (c - 1) // 2) * 4)  # votes + pair decisions
-    if kind == "mlp":
-        return float(max(model.layer_sizes) * 4)  # largest activation buffer
-    return float(c * 4)  # vote array
+    return float(_counts(model)[3])
 
 
 def model_cycles(model: BaseModel, profile: CostProfile) -> float:
-    kind = model_kind(model)
+    kind, macs, _, _ = _counts(model)
     coeff = profile.model_coefficients[kind]
-    extras = 0.0
-    if kind == "svm" and model.kernel == "rbf":
-        extras = model.n_sv * coeff.kernel_eval_extra
-    return model_macs(model) * coeff.cycles_per_mac + extras + coeff.fixed_overhead
+    rbf = kind == "svm" and model.kernel == "rbf"
+    extras = model.n_sv * coeff.kernel_eval_extra if rbf else 0.0
+    return float(macs) * coeff.cycles_per_mac + extras + coeff.fixed_overhead
 
 
 def classification_cost(model: BaseModel, profile: CostProfile) -> ResourceCost:

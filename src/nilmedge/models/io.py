@@ -11,7 +11,9 @@ hex-encoded (float.hex) there to stay lossless.
 
 Each kind's layout is written down once: `_parts` gives its header scalars
 and its arrays by name, both writers take them from `_header`, and
-`_rebuild` reads the arrays back under the same names.
+`_rebuild` reads the arrays back under the same names. The arrays that are
+model fields of the same name are listed in `_FIELD_ARRAYS`, and a tree's
+in `TREE_ARRAYS`; both functions read those tables.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ def model_kind(model: BaseModel) -> str:
 TREE_ARRAYS = (("feature", "feature"), ("threshold", "threshold"), ("left", "left"),
                ("right", "right"), ("leaf", "leaf_class"))
 
+# the arrays that are model fields of the same name, per kind, in file order
+_FIELD_ARRAYS = {"knn": ("train_x", "train_y"), "svm": ("support", "dual_coef", "intercepts")}
+
 
 def _parts(model: BaseModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     """The kind's header scalars and its named arrays in file order: the
@@ -74,19 +79,16 @@ def _parts(model: BaseModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     if model.scaler is not None:
         arrays += [("scaler_mean", model.scaler.mean), ("scaler_std", model.scaler.std)]
     kind = model_kind(model)
+    arrays += [(name, getattr(model, name)) for name in _FIELD_ARRAYS.get(kind, ())]
     if kind == "knn":
-        return {"k": int(model.k)}, arrays + [("train_x", model.train_x), ("train_y", model.train_y)]
+        return {"k": int(model.k)}, arrays
     if kind == "svm":
         params = {
             "kernel": model.kernel,
             "gamma_hex": float(model.gamma).hex(),
             "sv_counts": [int(c) for c in model.sv_counts],
         }
-        return params, arrays + [
-            ("support", model.support),
-            ("dual_coef", model.dual_coef),
-            ("intercepts", model.intercepts),
-        ]
+        return params, arrays
     if kind == "mlp":
         for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
             arrays += [(f"w{idx}", w), (f"b{idx}", b)]
@@ -175,21 +177,15 @@ def _rebuild(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> BaseModel:
             selected_indices=tuple(meta["selected_indices"]),
             scaler=scaler,
             metadata=meta.get("metadata", {}),
+            **{name: arrays[name] for name in _FIELD_ARRAYS.get(kind, ())},
         )
         params = meta["params"]
         if kind == "knn":
-            return KnnModel(**common, k=params["k"],
-                            train_x=arrays["train_x"], train_y=arrays["train_y"])
+            return KnnModel(**common, k=params["k"])
         if kind == "svm":
-            return SvmModel(
-                **common,
-                kernel=params["kernel"],
-                gamma=float.fromhex(params["gamma_hex"]),
-                support=arrays["support"],
-                sv_counts=np.array(params["sv_counts"], dtype=np.int64),
-                dual_coef=arrays["dual_coef"],
-                intercepts=arrays["intercepts"],
-            )
+            return SvmModel(**common, kernel=params["kernel"],
+                            gamma=float.fromhex(params["gamma_hex"]),
+                            sv_counts=np.array(params["sv_counts"], dtype=np.int64))
         if kind == "mlp":
             n_layers = params["n_layers"]
             return MlpModel(

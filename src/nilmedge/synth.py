@@ -37,7 +37,7 @@ from itertools import compress
 
 import numpy as np
 
-from .checks import finite_number
+from .checks import finite_number, whole_number
 from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream
 
 APPLIANCE_KINDS = ("resistive", "reactive", "rectifier", "phase_cut")
@@ -103,7 +103,7 @@ class ApplianceModel:
         if not (finite_number(self.cut_angle_rad) and 0 <= self.cut_angle_rad < np.pi):
             raise ValueError("cut angle must lie in [0, pi)")
         for order, rel in self.harmonic_profile.items():
-            if not isinstance(order, (int, np.integer)) or order < 1 or order % 2 == 0:
+            if not whole_number(order, 1) or order % 2 == 0:
                 raise ValueError(f"harmonic orders must be odd integers >= 1, got {order!r}")
             if not (finite_number(rel) and 0 <= rel <= 1):
                 raise ValueError(f"relative harmonic amplitudes lie in [0, 1], got {rel}")
@@ -374,6 +374,10 @@ def _parse_harmonics(text: str, line_no: int) -> dict[int, float]:
     return profile
 
 
+# an appliance line's numeric keys, each read and checked on every kind
+_APPLIANCE_NUMBERS = ("power_w", "phase_rad", "cut_angle_rad", "noise_rms_a")
+
+
 def _parse_appliance(body: str, line_no: int) -> tuple[str, ApplianceModel]:
     tokens = body.split()
     if not tokens:
@@ -384,9 +388,11 @@ def _parse_appliance(body: str, line_no: int) -> tuple[str, ApplianceModel]:
         if "=" not in tok:
             raise ScriptParseError(line_no, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
+        if key in fields or key not in ("kind", "harmonics", *_APPLIANCE_NUMBERS):
+            raise ScriptParseError(line_no, f"{'repeated' if key in fields else 'unknown'} "
+                                            f"appliance key {key!r}")
         fields[key] = value
-    numbers = {key: _number(fields.get(key, "0"), key, line_no)
-               for key in ("power_w", "phase_rad", "cut_angle_rad", "noise_rms_a")}
+    numbers = {key: _number(fields.get(key, "0"), key, line_no) for key in _APPLIANCE_NUMBERS}
     profile = _parse_harmonics(fields["harmonics"], line_no) if "harmonics" in fields else {1: 1.0}
     try:
         model = ApplianceModel(
@@ -406,12 +412,13 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
     """Parse the version-1 script format; errors carry the offending line number.
 
     Every malformed script raises ScriptParseError, including numbers that
-    are NaN or infinite."""
+    are NaN or infinite, an unknown appliance key, a key given twice on one
+    appliance line, a header key (version included) given twice, and an
+    appliance id defined twice: none of them is dropped or overwritten."""
     header: dict[str, float] = {}
     header_line: dict[str, int] = {}
     registry: dict[str, ApplianceModel] = {}
     events: list[ScenarioEvent] = []
-    version_seen = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -420,15 +427,19 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
         if ":" not in line:
             raise ScriptParseError(line_no, f"expected 'key: value', got {line!r}")
         key, body = (s.strip() for s in line.split(":", 1))
+        if key in header_line:
+            raise ScriptParseError(line_no, f"repeated key {key!r} (first on line {header_line[key]})")
         if key == "version":
             if body != str(SCRIPT_VERSION):
                 raise ScriptParseError(line_no, f"unsupported script version {body!r}")
-            version_seen = True
+            header_line[key] = line_no
         elif key in ("duration_s", "mains_amplitude_v", "mains_freq_hz", "noise_rms_a"):
             header[key] = _number(body, key, line_no)
             header_line[key] = line_no
         elif key == "appliance":
             app_id, model = _parse_appliance(body, line_no)
+            if app_id in registry:
+                raise ScriptParseError(line_no, f"repeated appliance id {app_id!r}")
             registry[app_id] = model
         elif key == "event":
             parts = body.split()
@@ -442,7 +453,7 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
         else:
             raise ScriptParseError(line_no, f"unknown key {key!r}")
 
-    if not version_seen:
+    if "version" not in header_line:
         raise ScriptParseError(1, "missing 'version: 1' declaration")
     if "duration_s" not in header:
         raise ScriptParseError(1, "missing 'duration_s'")

@@ -2,7 +2,9 @@
 
 The on-disk form is a CSV with header ``label,f0,f1,...`` plus a JSON
 sidecar (same path with ``.meta.json`` appended) holding the class table,
-feature layout, and provenance tag.
+feature layout, and provenance tag. The loader takes only a file whose
+feature columns are as many as its layout's entries: a model trained on it
+reads its columns by layout position.
 """
 
 from __future__ import annotations
@@ -126,11 +128,15 @@ def load_dataset(path: str | Path) -> Dataset:
     meta = json.loads(meta_path.read_text())
     if not isinstance(meta, dict):
         raise ValueError(f"dataset sidecar {meta_path} must hold a JSON object")
-    if not isinstance(meta["layout"], dict):
-        raise ValueError(f"sidecar 'layout' must be a JSON object, got {meta['layout']!r}")
-    names = meta["class_names"]
+    if not isinstance(meta.get("layout"), dict):
+        raise ValueError(f"sidecar 'layout' must be a JSON object, got {meta.get('layout')!r}")
+    names = meta.get("class_names")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"sidecar 'class_names' must be a list of strings, got {names!r}")
+    provenance = meta.get("provenance", "unspecified")
+    if not isinstance(provenance, str):
+        raise ValueError(f"sidecar 'provenance' must be a string, got {provenance!r}")
+    layout = FeatureLayout.from_dict(meta["layout"])
     labels: list[int] = []
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -138,6 +144,8 @@ def load_dataset(path: str | Path) -> Dataset:
         if header[0] != "label":
             raise ValueError(f"dataset header must start with 'label', got {header[:1]}")
         width = len(header) - 1
+        if width != len(layout):
+            raise ValueError(f"{width} feature columns but sidecar 'layout' has {len(layout)} entries")
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -154,6 +162,6 @@ def load_dataset(path: str | Path) -> Dataset:
         x=np.array(rows, dtype=np.float64),
         y=np.array(labels, dtype=np.int64),
         class_names=tuple(names),
-        layout=FeatureLayout.from_dict(meta["layout"]),
-        provenance=meta.get("provenance", "unspecified"),
+        layout=layout,
+        provenance=provenance,
     )

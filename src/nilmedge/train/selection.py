@@ -51,6 +51,15 @@ _AXIS_VALUES = {
     "rf_depth": (lambda v: v is None or whole_number(v, 0), "None or an int >= 0"),
 }
 
+# each kind's cell keys, which are its trainer's keywords, in cell order, and
+# the GridSpec axis behind each; an MLP cell also carries the fixed epochs
+_AXES = {
+    "knn": {"k": "knn_k"},
+    "svm": {"c": "svm_c", "gamma": "svm_gamma", "kernel": "svm_kernel"},
+    "mlp": {"hidden": "mlp_hidden", "lr": "mlp_lr"},
+    "rf": {"n_trees": "rf_trees", "max_depth": "rf_depth"},
+}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -65,8 +74,7 @@ class GridSpec:
     rf_depth: tuple[int | None, ...] = (None, 12)
 
     def __post_init__(self):
-        for name in ("knn_k", "svm_c", "svm_gamma", "svm_kernel",
-                     "mlp_hidden", "mlp_lr", "rf_trees", "rf_depth"):
+        for name in (axis for axes in _AXES.values() for axis in axes.values()):
             if not getattr(self, name):
                 raise ValueError(f"grid axis {name} must be non-empty")
         for name, (ok, what) in _AXIS_VALUES.items():
@@ -77,24 +85,12 @@ class GridSpec:
             check_mlp_settings(hidden, lr, self.mlp_epochs)
 
     def cells(self, kind: str) -> list[dict]:
-        if kind == "knn":
-            return [{"k": k} for k in self.knn_k]
-        if kind == "svm":
-            return [
-                {"c": c, "gamma": g, "kernel": kr}
-                for c, g, kr in product(self.svm_c, self.svm_gamma, self.svm_kernel)
-            ]
-        if kind == "mlp":
-            return [
-                {"hidden": h, "lr": lr, "epochs": self.mlp_epochs}
-                for h, lr in product(self.mlp_hidden, self.mlp_lr)
-            ]
-        if kind == "rf":
-            return [
-                {"n_trees": t, "max_depth": dep}
-                for t, dep in product(self.rf_trees, self.rf_depth)
-            ]
-        raise ValueError(f"unknown model kind {kind!r} (expected one of {MODEL_KINDS})")
+        if kind not in _AXES:
+            raise ValueError(f"unknown model kind {kind!r} (expected one of {MODEL_KINDS})")
+        axes = _AXES[kind]
+        fixed = {"epochs": self.mlp_epochs} if kind == "mlp" else {}
+        return [{**dict(zip(axes, values)), **fixed}
+                for values in product(*(getattr(self, name) for name in axes.values()))]
 
 
 def _cell_size_hint(kind: str, params: dict, n_features: int, n_classes: int) -> float:

@@ -148,8 +148,8 @@ def train_svm(
     n_classes = len(d.class_names)
     if gamma is None:
         gamma = 1.0 / x.shape[1]
-    if kernel == "rbf" and gamma <= 0:
-        raise ValueError("rbf gamma must be positive")
+    if not (finite_number(gamma) and (gamma > 0 or kernel != "rbf")):
+        raise ValueError(f"kernel gamma must be a finite number, positive for rbf, got {gamma!r}")
 
     if n_classes < 2:
         raise ValueError("an SVM needs at least two classes")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product
 
 import numpy as np
 
@@ -552,6 +553,60 @@ def extraction_rows_oracle(groups: set[str]) -> tuple[str, ...]:
     if "harmonics" in groups:
         rows.append("fft_1024_unordered")
     return tuple(rows)
+
+
+def classification_cost_oracle(model, profile) -> dict[str, float]:
+    """One inference's MACs, cycles, Flash and SRAM bytes, each figure by its
+    own per-kind formula, as `cost` wrote them before it counted every kind
+    in one place. Keys are the ResourceCost fields."""
+    c, bpp = model.n_classes, profile.bytes_per_parameter
+    if isinstance(model, KnnModel):
+        kind = "knn"
+        macs = float(model.train_x.shape[0] * model.train_x.shape[1])
+        flash = float(model.train_x.size * bpp)
+        sram = float(model.k * 12 + c * 4)  # k (distance, index) pairs + votes
+    elif isinstance(model, SvmModel):
+        kind = "svm"
+        macs = float(model.n_sv * model.support.shape[1] + model.n_sv * (model.n_classes - 1))
+        params = model.n_sv * model.support.shape[1] + model.n_sv * (c - 1) + c * (c - 1) // 2
+        flash = float(params * bpp)
+        sram = float((c + c * (c - 1) // 2) * 4)  # votes + pair decisions
+    elif isinstance(model, MlpModel):
+        kind = "mlp"
+        sizes = model.layer_sizes
+        macs = float(sum(a * b for a, b in zip(sizes, sizes[1:])))
+        flash = float(model.parameter_count * bpp)
+        sram = float(max(model.layer_sizes) * 4)  # largest activation buffer
+    else:
+        kind = "rf"
+        macs = float(model.worst_case_comparisons())
+        flash = float(model.node_count * profile.rf_node_bytes
+                      + model.n_trees * profile.rf_code_overhead_bytes)
+        sram = float(c * 4)  # vote array
+    coeff = profile.model_coefficients[kind]
+    extras = 0.0
+    if kind == "svm" and model.kernel == "rbf":
+        extras = model.n_sv * coeff.kernel_eval_extra
+    cycles = macs * coeff.cycles_per_mac + extras + coeff.fixed_overhead
+    return {"mac": macs, "cycles": cycles, "flash_bytes": flash, "sram_bytes": sram}
+
+
+# --- grid oracle -----------------------------------------------------------------------
+
+def grid_cells_oracle(grid, kind: str) -> list[dict]:
+    """A grid's cells for one kind, one product per kind, as `GridSpec.cells`
+    wrote them before it read one axes table."""
+    if kind == "knn":
+        return [{"k": k} for k in grid.knn_k]
+    if kind == "svm":
+        return [{"c": c, "gamma": g, "kernel": kr}
+                for c, g, kr in product(grid.svm_c, grid.svm_gamma, grid.svm_kernel)]
+    if kind == "mlp":
+        return [{"hidden": h, "lr": lr, "epochs": grid.mlp_epochs}
+                for h, lr in product(grid.mlp_hidden, grid.mlp_lr)]
+    if kind == "rf":
+        return [{"n_trees": t, "max_depth": dep} for t, dep in product(grid.rf_trees, grid.rf_depth)]
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 # --- whole-stream event oracles -------------------------------------------------------

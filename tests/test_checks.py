@@ -53,6 +53,11 @@ REJECTED = [
      "script duration_s must be"),
     ("train_svm", lambda: train_svm(blob_dataset(per_class=5), c=True),
      "regularization parameter c must be"),
+    ("svm gamma", lambda: train_svm(blob_dataset(per_class=5), gamma=True), "gamma must be"),
+    ("svm gamma text", lambda: train_svm(blob_dataset(per_class=5), gamma="x"), "gamma must be"),
+    ("harmonic order", lambda: ApplianceModel(kind="rectifier", nominal_power_w=10.0,
+                                              harmonic_profile={True: 1.0}),
+     "harmonic orders must be"),
 ]
 
 
@@ -84,3 +89,21 @@ def test_whole_numbers():
     assert whole_number(3, 1) and whole_number(np.int8(3), 3) and whole_number(np.uint64(0), 0)
     assert not any(whole_number(v, 0) for v in (True, False, np.True_, 1.0, "1", None))
     assert not whole_number(0, 1)
+
+
+@pytest.mark.parametrize("gamma", [None, 0.25, np.float32(0.25), np.float64(0.25), np.int64(1)])
+def test_svm_gamma_may_be_none_or_any_real(gamma):
+    d = blob_dataset(per_class=5)
+    model = train_svm(d, gamma=gamma)
+    assert model.gamma == (1.0 / d.n_features if gamma is None else gamma)
+
+
+def test_linear_svm_gamma_need_not_be_positive():
+    assert train_svm(blob_dataset(per_class=5), gamma=0.0, kernel="linear").kernel == "linear"
+
+
+@pytest.mark.parametrize("order", [3, np.int8(3), np.int64(3), np.uint16(3)])
+def test_numpy_harmonic_orders_are_still_orders(order):
+    profile = ApplianceModel(kind="rectifier", nominal_power_w=10.0,
+                             harmonic_profile={1: 1.0, order: 0.5}).harmonic_profile
+    assert profile[3] == 0.5

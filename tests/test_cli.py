@@ -11,7 +11,7 @@ from nilmedge.pipeline import window_dataset
 from nilmedge.sampleio import load_samples, save_samples
 from nilmedge.signals import SampleWindow, window_stream
 from nilmedge.train import MdaReport
-from nilmedge.train.dataset import save_dataset
+from nilmedge.train.dataset import Dataset, save_dataset
 
 
 def run(capsys, *argv):
@@ -197,6 +197,18 @@ class TestDatasetSidecar:
         code, _, err = run(capsys, "train", "--dataset", str(path), "--kind", "knn",
                            "--out", str(tmp_path / "knn.nlmm"))
         assert code == 2 and "JSON object" in err
+
+    def test_csv_narrower_than_its_layout_is_data_error(self, tmp_path, capsys):
+        """A 5-column file under a 103-entry layout would train a model that
+        reads P, |S|, Q, H1_re and H1_im of every online vector."""
+        d = blob_dataset(n_classes=2, per_class=5, n_features=5)
+        path = tmp_path / "d.csv"
+        save_dataset(Dataset(x=d.x, y=d.y, class_names=d.class_names, layout=DEFAULT_LAYOUT),
+                     path)
+        code, _, err = run(capsys, "train", "--dataset", str(path), "--kind", "rf",
+                           "--out", str(tmp_path / "rf.nlmm"))
+        assert code == 2 and "5 feature columns" in err and "103" in err
+        assert not (tmp_path / "rf.nlmm").exists()
 
 
 class TestTrainAndCost:

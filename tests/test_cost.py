@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     BAD_VALUES,
+    classification_cost_oracle,
     edited,
     extraction_rows_oracle,
     groups_oracle,
@@ -25,6 +26,7 @@ from nilmedge.cost import (
     FEATURE_GROUPS,
     ResourceCost,
     budget_check,
+    classification_cost,
     cost_report,
     extraction_cost,
     feature_groups,
@@ -236,6 +238,66 @@ class TestModelCosts:
     def test_sram_accounting(self, rng):
         m = random_mlp(rng, sizes=(10, 50, 3))
         assert model_sram(m, PROFILE) == 50 * 4
+
+
+def one_leaf_forest(n_trees=2, n_classes=2):
+    from nilmedge.models.forest import RfModel, TreeNodes
+    leaf = TreeNodes(feature=[-1], threshold=[0.0], left=[-1], right=[-1], leaf_class=[0])
+    return RfModel(class_names=tuple(f"c{k}" for k in range(n_classes)), layout=DEFAULT_LAYOUT,
+                   selected_indices=(0,), scaler=None, trees=(leaf,) * n_trees)
+
+
+def random_models(rng):
+    """Seeded random models of every kind, linear and rbf SVMs and a one-leaf
+    forest among them."""
+    n_classes = int(rng.integers(2, 8))
+    f = int(rng.integers(1, 12))
+    n = int(rng.integers(5, 90))
+    return [
+        random_knn(rng, n=n, f=f, n_classes=n_classes, k=int(rng.integers(1, n + 1))),
+        random_svm(rng, n_sv_per_class=int(rng.integers(1, 9)), f=f, n_classes=n_classes),
+        random_svm(rng, n_sv_per_class=int(rng.integers(1, 9)), f=f, n_classes=n_classes,
+                   kernel="linear"),
+        random_mlp(rng, sizes=tuple(int(k) for k in rng.integers(1, 60, size=rng.integers(2, 5)))),
+        random_rf(rng, n_trees=int(rng.integers(1, 12)), f=f, n_classes=n_classes,
+                  depth=int(rng.integers(0, 7))),
+        one_leaf_forest(n_trees=int(rng.integers(1, 5)), n_classes=n_classes),
+    ]
+
+
+class TestCostOracle:
+    """Each kind's counts, stated once in `cost`, give the figures of the
+    per-kind formulas exactly, on the shipped profile and on one with other
+    parameter and node sizes."""
+
+    PROFILES = (PROFILE, replace(PROFILE, name="narrow", bytes_per_parameter=2,
+                                 rf_node_bytes=12, rf_code_overhead_bytes=96))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_models_of_every_kind(self, seed):
+        rng = np.random.default_rng(seed)
+        for model in random_models(rng):
+            for profile in self.PROFILES:
+                want = classification_cost_oracle(model, profile)
+                got = {"mac": model_macs(model), "cycles": model_cycles(model, profile),
+                       "flash_bytes": model_flash(model, profile),
+                       "sram_bytes": model_sram(model, profile)}
+                assert got == want, (type(model).__name__, profile.name)
+                assert all(type(v) is float for v in got.values())
+                assert classification_cost(model, profile) == ResourceCost(**want)
+
+    def test_paper_sized_models(self, rng):
+        models = [random_svm(rng, n_sv_per_class=195, f=103, n_classes=10),
+                  random_svm(rng, n_sv_per_class=195, f=103, n_classes=10, kernel="linear"),
+                  random_mlp(rng, sizes=(100, 800, 100, 5)), one_leaf_forest()]
+        for model in models:
+            want = classification_cost_oracle(model, PROFILE)
+            assert classification_cost(model, PROFILE) == ResourceCost(**want)
+
+    def test_cost_report_json_matches_the_oracle(self, rng):
+        model = random_svm(rng, kernel="rbf")
+        doc = json.loads(cost_report(model, PROFILE).to_json())
+        assert doc["classification"] == classification_cost_oracle(model, PROFILE)
 
 
 class TestBudget:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import blob_dataset
+from nilmedge.features import DEFAULT_LAYOUT
 from nilmedge.train.dataset import Dataset, load_dataset, save_dataset, split_dataset
 
 
@@ -117,3 +118,51 @@ class TestFiles:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=key):
             load_dataset(path)
+
+
+class TestLoaderChecks:
+    """The loader takes only a file that its sidecar describes: a model
+    trained on it reads each online vector's columns by layout position. The
+    in-memory Dataset still takes a matrix narrower than its layout."""
+
+    @staticmethod
+    def saved(tmp_path, d=None):
+        path = tmp_path / "data.csv"
+        save_dataset(d or blob_dataset(n_classes=2, per_class=5), path)
+        return path, tmp_path / "data.csv.meta.json"
+
+    @staticmethod
+    def narrow():
+        d = blob_dataset(n_classes=2, per_class=5, n_features=5)
+        return Dataset(x=d.x, y=d.y, class_names=d.class_names, layout=DEFAULT_LAYOUT)
+
+    def test_in_memory_dataset_may_be_narrower_than_its_layout(self):
+        assert self.narrow().n_features == 5 and len(self.narrow().layout) == 103
+
+    def test_columns_must_match_the_layout(self, tmp_path):
+        path, _ = self.saved(tmp_path, self.narrow())
+        with pytest.raises(ValueError, match=r"^5 feature columns but sidecar 'layout' has 103 entries$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["layout", "class_names"])
+    def test_missing_key_is_named(self, tmp_path, key):
+        path, sidecar = self.saved(tmp_path)
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [7, None, True, ["bench"], {"tag": "bench"}])
+    def test_provenance_must_be_a_string(self, tmp_path, value):
+        path, sidecar = self.saved(tmp_path)
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "provenance": value}))
+        with pytest.raises(ValueError, match="'provenance'"):
+            load_dataset(path)
+
+    def test_provenance_may_be_left_out(self, tmp_path):
+        path, sidecar = self.saved(tmp_path)
+        meta = json.loads(sidecar.read_text())
+        del meta["provenance"]
+        sidecar.write_text(json.dumps(meta))
+        assert load_dataset(path).provenance == "unspecified"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import blob_dataset, small_layout
+from helpers import blob_dataset, grid_cells_oracle, small_layout
 from nilmedge.cost import CORTEX_M4_PAPER
 from nilmedge.train import (
     Dataset,
@@ -83,6 +83,60 @@ def test_mda_repetitions_must_be_an_int_of_at_least_one(repetitions):
     tr, te = split_dataset(blob_dataset(per_class=12), 0.5, seed=0)
     with pytest.raises(ValueError, match="repetitions"):
         mda_rank("knn", {"k": 1}, tr, te, repetitions=repetitions)
+
+
+# the axis fields in the order __post_init__ checks them for emptiness
+AXES = ("knn_k", "svm_c", "svm_gamma", "svm_kernel", "mlp_hidden", "mlp_lr", "rf_trees", "rf_depth")
+
+
+def random_grid(rng) -> GridSpec:
+    """A valid grid whose every axis holds 1-3 drawn values, in drawn order."""
+    def draw(values):
+        return tuple(values[k] for k in rng.permutation(len(values))[:rng.integers(1, 4)])
+    return GridSpec(
+        knn_k=draw([1, 2, 3, 5, 9, 15]),
+        svm_c=draw([0.1, 1.0, 10.0, 100.0]),
+        svm_gamma=draw([0.01, 0.1, 0.5, 2.0]),
+        svm_kernel=draw(["rbf", "linear"]),
+        mlp_hidden=draw([(8,), (800, 100), (16, 4, 2), (3,)]),
+        mlp_lr=draw([0.01, 0.05, 0.2]),
+        mlp_epochs=int(rng.integers(1, 300)),
+        rf_trees=draw([1, 10, 100]),
+        rf_depth=draw([None, 0, 4, 12]),
+    )
+
+
+class TestGridCellsOracle:
+    """`GridSpec.cells` reads one axes table; its cells, their order and each
+    cell's key order are those of the four per-kind products."""
+
+    @pytest.mark.parametrize("kind", ["knn", "svm", "mlp", "rf"])
+    def test_default_grid(self, kind):
+        cells = GridSpec().cells(kind)
+        assert cells == grid_cells_oracle(GridSpec(), kind)
+        assert [list(c) for c in cells] == [list(c) for c in grid_cells_oracle(GridSpec(), kind)]
+
+    def test_mlp_key_order(self):
+        assert [list(c) for c in GridSpec().cells("mlp")] == [["hidden", "lr", "epochs"]]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_grids(self, seed):
+        grid = random_grid(np.random.default_rng(seed))
+        for kind in ("knn", "svm", "mlp", "rf"):
+            want = grid_cells_oracle(grid, kind)
+            assert grid.cells(kind) == want
+            assert [list(c) for c in grid.cells(kind)] == [list(c) for c in want]
+
+    @pytest.mark.parametrize("kind", ["", "KNN", "forest", "mlp "])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=r"unknown model kind .* \(expected one of \("):
+            GridSpec().cells(kind)
+
+    @pytest.mark.parametrize("first, second", [(a, b) for i, a in enumerate(AXES)
+                                               for b in AXES[i:]])
+    def test_empty_axis_named_in_field_order(self, first, second):
+        with pytest.raises(ValueError, match=f"^grid axis {first} must be non-empty$"):
+            GridSpec(**{first: (), second: ()})
 
 
 class TestGridSearch:

@@ -263,6 +263,52 @@ event: 7.0 fan off
             parse_scenario_script("version: 1\nduration_s: 1\nfrobnicate: yes\n")
 
 
+class TestScriptTypos:
+    """A key or id that the parser would drop or overwrite is an error naming
+    its line and the key or id: a misspelt key, a key given twice on one
+    appliance line, a header key given twice, and an appliance id defined
+    twice."""
+
+    SCRIPT = TestScriptFiles.SCRIPT
+
+    @pytest.mark.parametrize("line, text, match", [
+        (6, "appliance: fan kind=resistive power_w=60 noise_rms=0.02",
+         "unknown appliance key 'noise_rms'"),
+        (6, "appliance: fan kind=resistive power_w=60 noise_rms_a=0.02 colour=red",
+         "unknown appliance key 'colour'"),
+        (6, "appliance: fan kind=resistive power_w=60 power_w=70", "repeated appliance key 'power_w'"),
+        (7, "appliance: tv kind=rectifier kind=resistive power_w=80", "repeated appliance key 'kind'"),
+        (7, "appliance: tv kind=rectifier power_w=80 harmonics=1:1.0 harmonics=1:1.0,3:0.5",
+         "repeated appliance key 'harmonics'"),
+        (7, "appliance: fan kind=resistive power_w=80", "repeated appliance id 'fan'"),
+    ])
+    def test_appliance_line(self, line, text, match):
+        lines = self.SCRIPT.splitlines()
+        lines[line - 1] = text
+        with pytest.raises(ScriptParseError, match=match) as err:
+            parse_scenario_script("\n".join(lines))
+        assert err.value.line_no == line
+
+    @pytest.mark.parametrize("text", [
+        "version: 1", "duration_s: 30", "mains_amplitude_v: 320", "mains_freq_hz: 60",
+        "noise_rms_a: 0.01",
+    ])
+    def test_repeated_header_key(self, text):
+        key = text.split(":")[0]
+        with pytest.raises(ScriptParseError, match=f"repeated key '{key}'") as err:
+            parse_scenario_script(self.SCRIPT + text + "\n")
+        assert err.value.line_no == len(self.SCRIPT.splitlines()) + 1
+
+    def test_numeric_keys_are_read_on_every_kind(self):
+        """phase_rad on a rectifier is no typo: it is parsed and checked."""
+        script = self.SCRIPT.replace("harmonics=1:1.0,3:0.5", "harmonics=1:1.0,3:0.5 phase_rad=0.2")
+        assert parse_scenario_script(script)[1]["tv"].phase_rad == 0.2
+
+    def test_repeated_events_stay_accepted(self):
+        script, _ = parse_scenario_script(self.SCRIPT + "event: 9.0 fan on\nevent: 9.5 fan off\n")
+        assert [e.time_s for e in script.events] == [2.0, 7.0, 9.0, 9.5]
+
+
 class TestScriptFuzz:
     SCRIPT = TestScriptFiles.SCRIPT + "appliance: dim kind=phase_cut power_w=40 cut_angle_rad=1.2\n"
 

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import blob_dataset
 from nilmedge.cli import _hyperparams, build_parser
-from nilmedge.models.io import serialize
+from nilmedge.models.io import from_json, serialize, to_json
 from nilmedge.train import GridSpec, train_knn, train_mlp, train_model, train_rf, train_svm
 
 TRAINERS = {"knn": train_knn, "svm": train_svm, "mlp": train_mlp, "rf": train_rf}
@@ -48,6 +48,23 @@ def test_trained_model_matches_golden_hash(kind, column):
     sel = (None, (8, 2, 5))[column]
     model = train_model(kind, golden_data(), PARAMS[kind], seed=5, selected_indices=sel)
     assert digest(model) == GOLDEN[kind][column]
+
+
+# SHA-256 of the JSON twin (io.to_json) of the same models for sel None; the
+# twin's text is the NLMM header's, with every array hex-encoded
+GOLDEN_JSON = {
+    "knn": "4fa74db15becd017b62ebab05166e37a71b043e4218998098c6b1753b9cdf68b",
+    "svm": "45cc4872dc5421acddd49fefebfc65c0b365193d22fe623c9a5d66d36faca753",
+    "mlp": "792c5c8d6fa27c4b77af5ab4f0a0f2fec9e15fe5b2499ed5d259809d6756a0dc",
+    "rf": "3ed11ee29558e3a4c1d0c3db74e9ad50517c7dbed93bdf4dacd73b151ad68250",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_JSON))
+def test_trained_model_json_twin_matches_golden_hash(kind):
+    model = train_model(kind, golden_data(), PARAMS[kind], seed=5)
+    assert hashlib.sha256(to_json(model).encode("utf-8")).hexdigest() == GOLDEN_JSON[kind]
+    assert digest(from_json(to_json(model))) == GOLDEN[kind][0]
 
 
 def binds(kind: str, params: dict) -> None:
