@@ -25,6 +25,7 @@ from .features import (
 )
 from .models.io import load_model, save_model
 from .pipeline import classify_stream, write_stream_labels_csv
+from .records import write_csv
 from .sampleio import FORMATS, load_samples, save_samples
 from .signals import ACQUISITION_RATE_HZ, decimate_stream
 from .synth import parse_scenario_script, synth_scenario
@@ -94,13 +95,10 @@ def cmd_synth(args) -> int:
     sample_path = out_dir / f"samples.{args.format}"
     save_samples(stream, sample_path, format=args.format)
     label_path = out_dir / "labels.csv"
-    with open(label_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window_index,active,event_id,event_action\n")
-        for j, on in enumerate(track.active):
-            ev_id, ev_action = "", ""
-            if j in track.toggles:
-                ev_id, ev_action = track.toggles[j][0]
-            fh.write(f"{j},{'+'.join(sorted(on))},{ev_id},{ev_action}\n")
+    # a window's first toggle, if it has one
+    write_csv(label_path, ("window_index", "active", "event_id", "event_action"),
+              ((j, "+".join(sorted(on)), *track.toggles.get(j, (("", ""),))[0])
+               for j, on in enumerate(track.active)))
     print(f"wrote {sample_path} ({len(stream)} samples) and {label_path}")
     return 0
 

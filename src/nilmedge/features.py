@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import whole_number
+from .records import write_csv
 from .signals import SAMPLE_RATE_HZ, WINDOW_SAMPLES, SampleStream, SampleWindow, window_rows
 
 FFT_SIZE = 1024
@@ -421,7 +422,5 @@ def feature_matrix(stream: SampleStream, layout: FeatureLayout = DEFAULT_LAYOUT)
 def write_features_csv(path, matrix: np.ndarray, window_indices: Sequence[int],
                        layout: FeatureLayout = DEFAULT_LAYOUT) -> None:
     """One row per window: window_index followed by the layout's features."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window_index," + ",".join(layout.names) + "\n")
-        for j, row in zip(window_indices, matrix):
-            fh.write(str(int(j)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    write_csv(path, ("window_index", *layout.names),
+              ((int(j), *map(float, row)) for j, row in zip(window_indices, matrix)))

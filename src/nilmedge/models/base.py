@@ -27,6 +27,16 @@ def check_class_names(names) -> tuple[str, ...]:
     return names
 
 
+def check_class_ids(labels, n_classes: int, what: str) -> np.ndarray:
+    """labels as int64 class ids, if each lies in [0, n_classes) and is an
+    integer or a whole-valued float: neither a bool nor a fraction passes."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iuf" or not np.all(
+            (labels >= 0) & (labels < n_classes) & (labels == np.round(labels))):
+        raise ValueError(f"{what} must hold whole-number class ids in [0, {n_classes})")
+    return labels.astype(np.int64)
+
+
 class ZeroVarianceError(ValueError):
     """A feature column is constant; distance/margin models cannot scale it."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checks import whole_number
-from .base import BaseModel
+from .base import BaseModel, check_class_ids
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class KnnModel(BaseModel):
             raise ValueError(f"k={self.k} exceeds the {self.train_x.shape[0]} training rows")
         if self.train_x.shape[0] != labels.shape[0]:
             raise ValueError("training matrix and labels disagree on row count")
-        if labels.dtype.kind not in "iuf" or not np.all(
-                (labels >= 0) & (labels < self.n_classes) & (labels == np.round(labels))):
-            raise ValueError(f"train_y must hold whole-number class ids in [0, {self.n_classes})")
+        labels = check_class_ids(labels, self.n_classes, "train_y")
         object.__setattr__(self, "train_y", labels.astype(np.int32))
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..checks import finite_number
 from .base import BaseModel
 
 KERNELS = ("rbf", "linear")
@@ -63,7 +64,7 @@ class SvmModel(BaseModel):
             raise ValueError(f"support vectors must be {self.n_features} features wide")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if not np.isfinite(self.gamma):
+        if not finite_number(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         if self.kernel == "rbf" and self.gamma <= 0:
             raise ValueError("rbf gamma must be positive")

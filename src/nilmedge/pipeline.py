@@ -52,6 +52,7 @@ from .features import (
     window_features,
 )
 from .models.base import BaseModel, classify_matrix
+from .records import write_csv
 from .signals import SampleStream, window_rows
 from .signals import window_stream  # noqa: F401 - perfbench/spans.py wraps it at this name
 from .synth import LabelTrack
@@ -210,10 +211,6 @@ def classify_stream(
 
 
 def write_stream_labels_csv(path, labels: list[StreamLabel]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window_index,delta_p_w,direction,valid,status,label\n")
-        for s in labels:
-            fh.write(
-                f"{s.window_index},{s.delta_p_w!r},{s.direction},"
-                f"{int(s.valid)},{s.status},{s.label or ''}\n"
-            )
+    write_csv(path, ("window_index", "delta_p_w", "direction", "valid", "status", "label"),
+              ((s.window_index, s.delta_p_w, s.direction, int(s.valid), s.status, s.label or "")
+               for s in labels))

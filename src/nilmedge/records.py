@@ -1,15 +1,21 @@
-"""JSON documents for the report records: a record's document is its fields.
+"""The files the library writes as records: JSON documents and CSV tables.
 
 Every report and cost profile is a dataclass, and its JSON is
 ``dataclasses.asdict`` of it, with tuples written as lists and numpy scalars
 and arrays as plain numbers and lists. A field added to a record is
 therefore in its document without further code.
+
+Every CSV file (features, events, datasets, samples and scenario labels) is
+written by `write_csv`: a header line, then one line per row, each cell as
+``str(cell)`` joined by commas, in UTF-8 with LF line endings. A caller
+formats its own numbers before they reach it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,3 +46,9 @@ def record_fields(record, doc, where: str) -> dict:
     if wrong:
         raise ValueError(f"{where}: missing or unknown keys {wrong}")
     return doc
+
+
+def write_csv(path, header, rows) -> None:
+    """The header, then each row, as comma-joined str(cell) lines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in chain([header], rows))

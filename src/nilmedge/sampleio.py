@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .records import write_csv
 from .signals import ACQUISITION_RATE_HZ, SAMPLE_RATE_HZ, SampleStream
 
 BINARY_MAGIC = b"NILM1"
-FORMATS = ("csv", "bin")
 
 
 class SampleParseError(ValueError):
@@ -39,35 +39,29 @@ class SampleParseError(ValueError):
         self.line_no = line_no
 
 
-def save_samples(stream: SampleStream, path: str | Path, format: str = "bin") -> None:
-    path = Path(path)
-    if format == "csv":
-        _save_csv(stream, path)
-    elif format == "bin":
-        _save_bin(stream, path)
-    else:
+def _codec(format: str) -> tuple:
+    """The (save, load) pair of a format name."""
+    if format not in FORMATS:
         raise ValueError(f"unknown sample format {format!r} (expected one of {FORMATS})")
+    return _CODECS[format]
+
+
+def save_samples(stream: SampleStream, path: str | Path, format: str = "bin") -> None:
+    _codec(format)[0](stream, Path(path))
 
 
 def load_samples(path: str | Path, format: str | None = None) -> SampleStream:
     """Load a sample stream; when format is None it is sniffed from the file."""
-    path = Path(path)
     if format is None:
         with open(path, "rb") as fh:
             format = "bin" if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC else "csv"
-    if format == "csv":
-        return _load_csv(path)
-    if format == "bin":
-        return _load_bin(path)
-    raise ValueError(f"unknown sample format {format!r} (expected one of {FORMATS})")
+    return _codec(format)[1](Path(path))
 
 
 def _save_csv(stream: SampleStream, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_s,v,i\n")
-        for k in range(len(stream)):
-            t = k / stream.rate_hz
-            fh.write(f"{t:.9g},{stream.v[k]:.9g},{stream.i[k]:.9g}\n")
+    rate = stream.rate_hz
+    write_csv(path, ("t_s", "v", "i"), ((f"{k / rate:.9g}", f"{v:.9g}", f"{i:.9g}")
+                                        for k, (v, i) in enumerate(zip(stream.v, stream.i))))
 
 
 def _load_csv(path: Path) -> SampleStream:
@@ -141,3 +135,8 @@ def _load_bin(path: Path) -> SampleStream:
     if bad.size:
         raise SampleParseError(f"sample {int(bad[0])} is not finite")
     return SampleStream(v=pairs[:, 0].copy(), i=pairs[:, 1].copy(), rate_hz=int(rate))
+
+
+# each format's (save, load) pair; FORMATS names them for the CLI's choices
+_CODECS = {"csv": (_save_csv, _load_csv), "bin": (_save_bin, _load_bin)}
+FORMATS = tuple(_CODECS)

@@ -26,13 +26,22 @@ zero to a total that starts at +0, can never become -0, and so is left
 unchanged. That needs every solo current to be finite: the model, event and
 script constructors reject non-finite numbers, so only magnitudes near the
 float range, where a current overflows, are left out.
+
+A scenario and its registry can also be written as a version-1 script, the
+text `nilmedge synth --script` reads. Its keys are listed once, in
+`_APPLIANCE_KEYS` (an appliance line's keys, each with its model field, its
+reader and the text an absent key reads as) and `_HEADER_NUMBERS` (the
+header's numeric keys and their `Mains` or `ScenarioScript` fields). The
+parser and the formatter both read the two tables, and the formatter writes
+every key, so `parse_scenario_script(format_scenario_script(s, r))` is
+`(s, r)`.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -332,7 +341,10 @@ def synth_scenario(
 
 # --- scenario script files -------------------------------------------------
 #
-# Plain line-oriented text, version 1 (see README for the full grammar):
+# Plain line-oriented text, version 1. A header line is `key: value`, with
+# `version: 1`, and the numeric keys of _HEADER_NUMBERS; each appliance line
+# is `appliance: <id>` followed by `key=value` tokens, each key of
+# _APPLIANCE_KEYS at most once; each event line is `event: <time_s> <id> <on|off>`:
 #
 #   version: 1
 #   duration_s: 30
@@ -342,6 +354,10 @@ def synth_scenario(
 #   appliance: tv kind=rectifier power_w=80 harmonics=1:1.0,3:0.5 noise_rms_a=0.02
 #   event: 2.0 fan on
 #   event: 6.5 fan off
+#
+# The two tables are the grammar's only list of keys: the parser reads them
+# and the formatter writes every key of both, so a formatted script reads
+# back as the script and registry it was formatted from.
 
 SCRIPT_VERSION = 1
 
@@ -363,7 +379,7 @@ def _number(text: str, what: str, line_no: int) -> float:
     return x
 
 
-def _parse_harmonics(text: str, line_no: int) -> dict[int, float]:
+def _parse_harmonics(text: str, what: str, line_no: int) -> dict[int, float]:
     profile: dict[int, float] = {}
     for part in text.split(","):
         try:
@@ -374,8 +390,34 @@ def _parse_harmonics(text: str, line_no: int) -> dict[int, float]:
     return profile
 
 
-# an appliance line's numeric keys, each read and checked on every kind
-_APPLIANCE_NUMBERS = ("power_w", "phase_rad", "cut_angle_rad", "noise_rms_a")
+def _text(value) -> str:
+    """A script value as the parser reads it back: a number as repr(float),
+    a harmonic profile as order:amplitude pairs, text as it is."""
+    if isinstance(value, dict):
+        return ",".join(f"{int(k)}:{float(v)!r}" for k, v in sorted(value.items()))
+    return value if isinstance(value, str) else repr(float(value))
+
+
+# an appliance line's keys, in the order they are read and written: key ->
+# (ApplianceModel field, reader, the text an absent key reads as); every
+# number is read and checked on every kind
+_APPLIANCE_KEYS = {
+    "kind": ("kind", lambda text, what, line_no: text, "resistive"),
+    "power_w": ("nominal_power_w", _number, "0"),
+    "phase_rad": ("phase_rad", _number, "0"),
+    "cut_angle_rad": ("cut_angle_rad", _number, "0"),
+    "noise_rms_a": ("noise_rms_a", _number, "0"),
+    "harmonics": ("harmonic_profile", _parse_harmonics, "1:1.0"),
+}
+
+# a header's numeric keys: key -> (record, field); an absent key takes the
+# field's default, and one whose field has none is missing
+_HEADER_NUMBERS = {
+    "duration_s": (ScenarioScript, "duration_s"),
+    "mains_amplitude_v": (Mains, "amplitude_v"),
+    "mains_freq_hz": (Mains, "freq_hz"),
+    "noise_rms_a": (ScenarioScript, "noise_rms_a"),
+}
 
 
 def _parse_appliance(body: str, line_no: int) -> tuple[str, ApplianceModel]:
@@ -383,26 +425,20 @@ def _parse_appliance(body: str, line_no: int) -> tuple[str, ApplianceModel]:
     if not tokens:
         raise ScriptParseError(line_no, "appliance line needs an id")
     app_id = tokens[0]
-    fields: dict[str, str] = {}
+    given: dict[str, str] = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise ScriptParseError(line_no, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
-        if key in fields or key not in ("kind", "harmonics", *_APPLIANCE_NUMBERS):
-            raise ScriptParseError(line_no, f"{'repeated' if key in fields else 'unknown'} "
+        if key in given or key not in _APPLIANCE_KEYS:
+            raise ScriptParseError(line_no, f"{'repeated' if key in given else 'unknown'} "
                                             f"appliance key {key!r}")
-        fields[key] = value
-    numbers = {key: _number(fields.get(key, "0"), key, line_no) for key in _APPLIANCE_NUMBERS}
-    profile = _parse_harmonics(fields["harmonics"], line_no) if "harmonics" in fields else {1: 1.0}
+        given[key] = value
+    # read before the model is built, so a bad value's error is not wrapped
+    values = {name: read(given.get(key, absent), key, line_no)
+              for key, (name, read, absent) in _APPLIANCE_KEYS.items()}
     try:
-        model = ApplianceModel(
-            kind=fields.get("kind", "resistive"),
-            nominal_power_w=numbers["power_w"],
-            phase_rad=numbers["phase_rad"],
-            harmonic_profile=profile,
-            cut_angle_rad=numbers["cut_angle_rad"],
-            noise_rms_a=numbers["noise_rms_a"],
-        )
+        model = ApplianceModel(**values)
     except ValueError as exc:
         raise ScriptParseError(line_no, str(exc)) from None
     return app_id, model
@@ -433,7 +469,7 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
             if body != str(SCRIPT_VERSION):
                 raise ScriptParseError(line_no, f"unsupported script version {body!r}")
             header_line[key] = line_no
-        elif key in ("duration_s", "mains_amplitude_v", "mains_freq_hz", "noise_rms_a"):
+        elif key in _HEADER_NUMBERS:
             header[key] = _number(body, key, line_no)
             header_line[key] = line_no
         elif key == "appliance":
@@ -455,49 +491,33 @@ def parse_scenario_script(text: str) -> tuple[ScenarioScript, dict[str, Applianc
 
     if "version" not in header_line:
         raise ScriptParseError(1, "missing 'version: 1' declaration")
-    if "duration_s" not in header:
-        raise ScriptParseError(1, "missing 'duration_s'")
-    mains = Mains()
-    for key, name in (("mains_amplitude_v", "amplitude_v"), ("mains_freq_hz", "freq_hz")):
+    # the mains is built again after each key, so a bad value fails on its line
+    given: dict[type, dict[str, float]] = {Mains: {}, ScenarioScript: {}}
+    for key, (record, name) in _HEADER_NUMBERS.items():
         if key in header:
-            try:
-                mains = replace(mains, **{name: header[key]})
-            except ValueError as exc:
-                raise ScriptParseError(header_line[key], str(exc)) from None
+            given[record][name] = header[key]
+        elif not hasattr(record, name):  # a dataclass field without a default
+            raise ScriptParseError(1, f"missing {key!r}")
+        try:
+            mains = Mains(**given[Mains])
+        except ValueError as exc:
+            raise ScriptParseError(header_line[key], str(exc)) from None
     try:
-        script = ScenarioScript(
-            mains=mains,
-            events=tuple(events),
-            duration_s=header["duration_s"],
-            noise_rms_a=header.get("noise_rms_a", 0.0),
-        )
+        script = ScenarioScript(mains=mains, events=tuple(events), **given[ScenarioScript])
     except ScenarioError as exc:
         raise ScriptParseError(1, str(exc)) from None
     return script, registry
 
 
 def format_scenario_script(script: ScenarioScript, registry: dict[str, ApplianceModel]) -> str:
-    lines = [
-        f"version: {SCRIPT_VERSION}",
-        f"duration_s: {script.duration_s!r}",
-        f"mains_amplitude_v: {script.mains.amplitude_v!r}",
-        f"mains_freq_hz: {script.mains.freq_hz!r}",
-    ]
-    if script.noise_rms_a:
-        lines.append(f"noise_rms_a: {script.noise_rms_a!r}")
+    """The script and registry as version-1 text, every key of both tables
+    written, so that parse_scenario_script reads back equal values."""
+    lines = [f"version: {SCRIPT_VERSION}"]
+    lines += [f"{key}: {_text(getattr(script.mains if record is Mains else script, name))}"
+              for key, (record, name) in _HEADER_NUMBERS.items()]
     for app_id in sorted(registry):
-        m = registry[app_id]
-        parts = [f"appliance: {app_id}", f"kind={m.kind}", f"power_w={m.nominal_power_w!r}"]
-        if m.kind == "reactive":
-            parts.append(f"phase_rad={m.phase_rad!r}")
-        if m.kind == "rectifier":
-            profile = ",".join(f"{k}:{v!r}" for k, v in sorted(m.harmonic_profile.items()))
-            parts.append(f"harmonics={profile}")
-        if m.kind == "phase_cut":
-            parts.append(f"cut_angle_rad={m.cut_angle_rad!r}")
-        if m.noise_rms_a:
-            parts.append(f"noise_rms_a={m.noise_rms_a!r}")
-        lines.append(" ".join(parts))
-    for ev in script.events:
-        lines.append(f"event: {ev.time_s!r} {ev.appliance_id} {ev.action}")
+        lines.append(" ".join([f"appliance: {app_id}"] + [
+            f"{key}={_text(getattr(registry[app_id], name))}"
+            for key, (name, _, _) in _APPLIANCE_KEYS.items()]))
+    lines += [f"event: {_text(ev.time_s)} {ev.appliance_id} {ev.action}" for ev in script.events]
     return "\n".join(lines) + "\n"

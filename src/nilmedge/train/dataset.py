@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from ..features import DEFAULT_LAYOUT, FeatureLayout
-from ..models.base import Scaler, check_class_names
+from ..models.base import Scaler, check_class_ids, check_class_names
+from ..records import write_csv
 
 
 @dataclass(frozen=True)
@@ -29,16 +30,14 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
         object.__setattr__(self, "class_names", check_class_names(self.class_names))
+        object.__setattr__(self, "y", check_class_ids(self.y, len(self.class_names), "labels"))
         if self.x.ndim != 2 or self.x.shape[0] == 0:
             raise ValueError("dataset matrix must be a non-empty (n, f) array")
         if self.y.shape != (self.x.shape[0],):
             raise ValueError("labels must align with matrix rows")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("dataset contains non-finite values")
-        if self.y.min() < 0 or self.y.max() >= len(self.class_names):
-            raise ValueError("labels reference classes outside the class table")
         counts = np.bincount(self.y, minlength=len(self.class_names))
         thin = np.flatnonzero((counts > 0) & (counts < 2))
         if thin.size:
@@ -108,10 +107,8 @@ def split_dataset(d: Dataset, train_frac: float, seed: int) -> tuple[Dataset, Da
 
 def save_dataset(d: Dataset, path: str | Path) -> None:
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("label," + ",".join(f"f{k}" for k in range(d.n_features)) + "\n")
-        for label, row in zip(d.y, d.x):
-            fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, ("label", *(f"f{k}" for k in range(d.n_features))),
+              ((int(label), *map(float, row)) for label, row in zip(d.y, d.x)))
     meta = {
         "class_names": list(d.class_names),
         "layout": d.layout.to_dict(),

@@ -388,11 +388,12 @@ def sweep_feature_count(
     if fixed_params is None and grid is None:
         raise ValueError("provide a grid to tune with, or fixed_params for fast mode")
     counts = list(feature_counts) if feature_counts else list(range(1, train.n_features + 1))
-    if counts != sorted(set(counts)) or counts[0] < 1 or counts[-1] > train.n_features:
-        raise ValueError("feature counts must be strictly increasing and within range")
+    if not (all(whole_number(m, 1) for m in counts) and counts == sorted(set(counts))
+            and counts[-1] <= train.n_features):
+        raise ValueError(f"feature counts must be strictly increasing ints in range, got {counts}")
 
     points: list[SweepPoint] = []
-    for m in counts:
+    for m in map(int, counts):
         indices = tuple(mda.ranking[:m])
         if fixed_params is not None:
             params = dict(fixed_params)

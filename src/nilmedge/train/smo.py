@@ -150,6 +150,7 @@ def train_svm(
         gamma = 1.0 / x.shape[1]
     if not (finite_number(gamma) and (gamma > 0 or kernel != "rbf")):
         raise ValueError(f"kernel gamma must be a finite number, positive for rbf, got {gamma!r}")
+    gamma = float(gamma)  # np.exp takes no Fraction, and the metadata is JSON
 
     if n_classes < 2:
         raise ValueError("an SVM needs at least two classes")
@@ -186,7 +187,7 @@ def train_svm(
         **fields,
         metadata=metadata,
         kernel=kernel,
-        gamma=float(gamma),
+        gamma=gamma,
         support=x[sv_rows],
         sv_counts=np.bincount(y[sv_rows], minlength=n_classes),
         dual_coef=dual,

@@ -739,3 +739,59 @@ def synth_scenario_oracle(script, registry, seed: int = 0, rate_hz: int = 10_000
         rng = np.random.default_rng(child_seed("__aggregate__"))
         i_total = i_total + rng.normal(0.0, script.noise_rms_a, size=n)
     return SampleStream(v=v, i=i_total, rate_hz=rate_hz), label_track_oracle(script, rate_hz)
+
+
+# --- CSV writer oracles ----------------------------------------------------------------
+#
+# Each file's own writer, as it was written out per file: the header, then one
+# f-string or join per row, UTF-8 with LF line endings. The library's writers
+# all go through records.write_csv and must give these bytes.
+
+
+def features_csv_oracle(path, matrix, window_indices, layout=DEFAULT_LAYOUT) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("window_index," + ",".join(layout.names) + "\n")
+        for j, row in zip(window_indices, matrix):
+            fh.write(str(int(j)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+
+
+def stream_labels_csv_oracle(path, labels) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("window_index,delta_p_w,direction,valid,status,label\n")
+        for s in labels:
+            fh.write(
+                f"{s.window_index},{s.delta_p_w!r},{s.direction},"
+                f"{int(s.valid)},{s.status},{s.label or ''}\n"
+            )
+
+
+def dataset_csv_oracle(path, d: Dataset) -> None:
+    """The dataset CSV and its JSON sidecar."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("label," + ",".join(f"f{k}" for k in range(d.n_features)) + "\n")
+        for label, row in zip(d.y, d.x):
+            fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    meta = {"class_names": list(d.class_names), "layout": d.layout.to_dict(),
+            "provenance": d.provenance}
+    with open(str(path) + ".meta.json", "w") as fh:
+        fh.write(json.dumps(meta, sort_keys=True, indent=1))
+
+
+def samples_csv_oracle(path, stream) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t_s,v,i\n")
+        for k in range(len(stream)):
+            t = k / stream.rate_hz
+            fh.write(f"{t:.9g},{stream.v[k]:.9g},{stream.i[k]:.9g}\n")
+
+
+def scenario_labels_csv_oracle(path, track) -> None:
+    """`nilmedge synth`'s labels.csv: each window's active loads and its
+    first toggle."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("window_index,active,event_id,event_action\n")
+        for j, on in enumerate(track.active):
+            ev_id, ev_action = "", ""
+            if j in track.toggles:
+                ev_id, ev_action = track.toggles[j][0]
+            fh.write(f"{j},{'+'.join(sorted(on))},{ev_id},{ev_action}\n")

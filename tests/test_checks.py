@@ -7,13 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import blob_dataset
+from helpers import blob_dataset, random_svm
+from nilmedge.cost import CORTEX_M4_PAPER
 from nilmedge.checks import finite_number, whole_number
 from nilmedge.events import check_threshold
+from nilmedge.models.io import serialize
 from nilmedge.pipeline import classify_stream
 from nilmedge.signals import CalibrationCoefficients, SampleStream
 from nilmedge.synth import ApplianceModel, Mains, ScenarioScript
-from nilmedge.train import GridSpec, train_knn, train_mlp, train_svm
+from nilmedge.train import (GridSpec, MdaReport, split_dataset, sweep_feature_count, train_knn,
+                            train_mlp, train_svm)
+from nilmedge.train.dataset import Dataset
 from nilmedge.train.selection import check_drop_tolerance
 from nilmedge.train.sgd import check_mlp_settings
 
@@ -23,6 +27,14 @@ COEFFS = dict(gain_v=0.01, offset_v=0.0, gain_i=0.01, offset_i=0.0)
 def _classify_empty_stream(threshold_w):
     model = train_knn(blob_dataset(per_class=5), k=1)
     classify_stream(SampleStream(v=np.zeros(0), i=np.zeros(0)), model, threshold_w=threshold_w)
+
+
+def _sweep(feature_counts):
+    train, test = split_dataset(blob_dataset(per_class=5), 0.6, seed=0)
+    mda = MdaReport(baseline_accuracy=1.0, importances=(0.0,) * 4, ranking=(0, 1, 2, 3),
+                    repetitions=1, seed=0, kind="knn", params={"k": 1})
+    sweep_feature_count(train, test, "knn", mda, CORTEX_M4_PAPER, fixed_params={"k": 1},
+                        feature_counts=feature_counts)
 
 
 # (entry point, call with the bad value, the field its message names)
@@ -58,6 +70,15 @@ REJECTED = [
     ("harmonic order", lambda: ApplianceModel(kind="rectifier", nominal_power_w=10.0,
                                               harmonic_profile={True: 1.0}),
      "harmonic orders must be"),
+    ("Dataset fractional labels", lambda: Dataset(x=np.eye(6), y=[0.5, 0.7, 1.2, 1.9, 0.0, 1.0],
+                                                  class_names=("a", "b")),
+     "labels must hold whole-number class ids"),
+    ("Dataset bool labels", lambda: Dataset(x=np.eye(4), y=[True, False, True, False],
+                                            class_names=("a", "b")),
+     "labels must hold whole-number class ids"),
+    ("SvmModel gamma", lambda: random_svm(np.random.default_rng(0), gamma=True), "gamma must be"),
+    ("sweep bool count", lambda: _sweep([True, 2]), "feature counts must be"),
+    ("sweep fractional count", lambda: _sweep([1.5]), "feature counts must be"),
 ]
 
 
@@ -96,6 +117,18 @@ def test_svm_gamma_may_be_none_or_any_real(gamma):
     d = blob_dataset(per_class=5)
     model = train_svm(d, gamma=gamma)
     assert model.gamma == (1.0 / d.n_features if gamma is None else gamma)
+
+
+def test_svm_gamma_may_be_a_fraction():
+    d = blob_dataset(per_class=5)
+    assert serialize(train_svm(d, gamma=Fraction(1, 4))) == serialize(train_svm(d, gamma=0.25))
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0],
+                                    np.array([0, 0, 1, 1], np.uint8),
+                                    np.array([0, 0, 1, 1], np.float32)])
+def test_whole_valued_labels_stay_class_ids(labels):
+    assert Dataset(x=np.eye(4), y=labels, class_names=("a", "b")).y.tolist() == [0, 0, 1, 1]
 
 
 def test_linear_svm_gamma_need_not_be_positive():

@@ -8,6 +8,7 @@ from nilmedge.features import apparent_power, extract_features, real_power
 from nilmedge.scenarios import SCENARIO_IDS, builtin_scenario
 from nilmedge.signals import SampleWindow, window_stream
 from nilmedge.synth import (
+    APPLIANCE_KINDS,
     ApplianceModel,
     Mains,
     ScenarioError,
@@ -514,3 +515,102 @@ class TestNonFiniteModelsRejected:
         args = dict(mains=MAINS, events=(), duration_s=1.0, noise_rms_a=0.0)
         with pytest.raises(ScenarioError, match=f"script {field} must be finite"):
             ScenarioScript(**{**args, field: value})
+
+
+def random_registry(rng) -> dict[str, ApplianceModel]:
+    """Loads of every kind built from numpy scalars, each carrying the keys
+    of the other kinds too: a phase on a rectifier, harmonics and a cut
+    angle on a resistive load."""
+    registry = {}
+    for k in range(int(rng.integers(1, 7))):
+        orders = rng.choice(np.arange(3, 40, 2), size=int(rng.integers(0, 4)), replace=False)
+        power = rng.uniform(1.0, 2000.0)
+        registry[f"load{k}"] = ApplianceModel(
+            kind=APPLIANCE_KINDS[int(rng.integers(len(APPLIANCE_KINDS)))],
+            nominal_power_w=np.int64(power) if k % 2 else np.float64(power),
+            phase_rad=np.float64(rng.uniform(-1.5, 1.5)),
+            harmonic_profile={np.int64(1): np.float64(1.0),
+                              **{o: np.float64(rng.uniform(0.0, 1.0)) for o in orders}},
+            cut_angle_rad=np.float64(rng.uniform(0.0, np.pi)),
+            noise_rms_a=np.float64(rng.choice([0.0, rng.uniform(0.0, 0.05)])),
+        )
+    return registry
+
+
+def random_script(rng, registry) -> ScenarioScript:
+    duration = np.float64(rng.uniform(0.2, 1.0))
+    times = np.sort(rng.uniform(0.0, duration, size=int(rng.integers(0, 10))))
+    events = tuple(ScenarioEvent(t, sorted(registry)[int(rng.integers(len(registry)))],
+                                 ("on", "off")[int(rng.integers(2))]) for t in times)
+    mains = Mains(amplitude_v=np.float64(rng.uniform(100.0, 400.0)),
+                  freq_hz=np.float64(rng.choice([50.0, 60.0])))
+    return ScenarioScript(mains=mains, events=events, duration_s=duration,
+                          noise_rms_a=np.float64(rng.choice([0.0, 0.02])))
+
+
+def assert_same_stream(a, b, seed):
+    (stream_a, track_a), (stream_b, track_b) = (synth_scenario(*x, seed=seed) for x in (a, b))
+    assert_same_bits(stream_a.v, stream_b.v)
+    assert_same_bits(stream_a.i, stream_b.i)
+    assert track_a == track_b
+
+
+class TestScriptRoundTrip:
+    """format_scenario_script writes every key of every line, each number as
+    repr(float), so the parser reads back the script and registry it was
+    given, and they synthesize the same bits."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+    def test_builtin_scenarios(self, scenario_id, seed):
+        given = builtin_scenario(scenario_id, seed=seed)
+        text = format_scenario_script(*given)
+        assert "np." not in text
+        parsed = parse_scenario_script(text)
+        assert parsed == given
+        assert_same_stream(parsed, given, seed)
+
+    def test_keys_outside_a_kind_are_kept(self):
+        registry = {
+            "tv": ApplianceModel(kind="rectifier", nominal_power_w=80.0, phase_rad=0.2,
+                                 harmonic_profile={1: 1.0, 3: 0.5}),
+            "bulb": ApplianceModel(kind="resistive", nominal_power_w=40.0, cut_angle_rad=0.7,
+                                   harmonic_profile={1: 0.5, 5: 0.25}),
+        }
+        script = ScenarioScript(mains=MAINS, events=(), duration_s=1.0)
+        assert parse_scenario_script(format_scenario_script(script, registry)) == (script, registry)
+
+    def test_random_registries(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            registry = random_registry(rng)
+            given = (random_script(rng, registry), registry)
+            parsed = parse_scenario_script(format_scenario_script(*given))
+            assert parsed == given
+            assert_same_stream(parsed, given, seed=int(rng.integers(100)))
+
+    @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+    def test_cli_script_reproduces_the_scenario(self, tmp_path, capsys, scenario_id):
+        from nilmedge.cli import main
+
+        script = tmp_path / "s.txt"
+        script.write_text(format_scenario_script(*builtin_scenario(scenario_id, seed=1)))
+        for out, source in (("a", ["--scenario", scenario_id]), ("b", ["--script", str(script)])):
+            assert main(["synth", *source, "--seed", "1", "--out", str(tmp_path / out)]) == 0
+        for name in ("samples.bin", "labels.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("appliance: x power_w=abc phase_rad=nan harmonics=3", "power_w must be numeric, got 'abc'"),
+    ("appliance: x power_w=1 phase_rad=nan noise_rms_a=x", "phase_rad must be finite, got 'nan'"),
+    ("appliance: x power_w=1 noise_rms_a=x harmonics=3", "noise_rms_a must be numeric, got 'x'"),
+    ("appliance: x power_w=1 harmonics=3", "bad harmonic entry '3'"),
+    ("appliance: x power_w=-1", "nominal power must be positive"),
+])
+def test_an_appliance_line_reports_its_first_bad_value_once(text, message):
+    """Values are read in key order, power_w first and harmonics last, and a
+    bad value's error carries one line prefix."""
+    with pytest.raises(ScriptParseError) as err:
+        parse_scenario_script(f"version: 1\nduration_s: 1\n{text}\n")
+    assert str(err.value) == f"line 3: {message}"
